@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import analysis, fitting, traceio
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, parse_quantity
 from .detection import synthesize_shot_reference, synthesize_trace
 from .opo import (
     ParameterDomainError,
@@ -195,9 +195,8 @@ def _cmd_sweep(args) -> int:
         for item in args.gains.split(","):
             pumps.append(PumpSpec(parametric_gain=float(item)))
     else:
-        from .config import _parse_quantity
         for item in args.powers.split(","):
-            watts = _parse_quantity(item.strip(), "power", "power", 0)
+            watts = parse_quantity(item.strip(), "power", "power", 0)
             pumps.append(PumpSpec(pump_power=watts))
     frequency = cfg.acquisition.center_frequency if cfg.acquisition else args.frequency_hz
     measured = _load_measured_csv(args.measured) if args.measured else None

@@ -111,7 +111,14 @@ _REQUIRED_KEYS = {
 }
 
 
-def _parse_quantity(raw: str, unit_kind: str, key: str, lineno: int) -> float:
+def parse_quantity(raw: str, unit_kind: str, key: str, lineno: int) -> float:
+    """Parse one number with an optional unit suffix into SI units.
+
+    unit_kind is one of "length", "inv_watt", "power", "db", "frequency",
+    "time", "angle" or "bare" (dimensionless); key and lineno only label the
+    ConfigError raised for a malformed value, e.g.
+    parse_quantity("61mW", "power", "power", 0) == 0.061.
+    """
     match = _NUMBER_RE.match(raw)
     if not match:
         raise ConfigError(f"line {lineno}: value of '{key}' is not a number: {raw!r}")
@@ -167,7 +174,7 @@ def _section_values(sections, name: str) -> dict[str, tuple[float, int]]:
     values: dict[str, tuple[float, int]] = {}
     for key, (raw, lineno) in sections.get(name, {}).items():
         unit_kind, _ = _SCHEMA[name][key]
-        values[key] = (_parse_quantity(raw, unit_kind, key, lineno), lineno)
+        values[key] = (parse_quantity(raw, unit_kind, key, lineno), lineno)
     missing = [k for k in _REQUIRED_KEYS[name] if k not in values]
     if missing:
         raise ConfigError(f"[{name}] block is missing key(s): {', '.join(missing)}")

@@ -13,7 +13,9 @@ Conventions:
   underlying variance S is 10*log10((S + n) / (1 + n)).
 * The LO phase scan is a linear ramp theta(t) = theta0 + 2*pi*t/T_scan.
 * Phase jitter is zero-mean Gaussian and quasi-static within one analyzer
-  sample.
+  sample.  Because S(theta) = A + B*cos(2*theta) exactly, its jitter average
+  has the closed form A + B*exp(-2*sigma^2)*cos(2*theta0) (Gaussian moment
+  E[cos 2d] = exp(-2*sigma^2)); no quadrature is needed on this side.
 * Analyzer scatter per sample is a normalised chi-square with
   k = max(2, round(2*RBW/VBW)) degrees of freedom.
 """
@@ -22,14 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermite
 
-from .opo import ParameterDomainError, quadrature_variance
-
-DEFAULT_GH_NODES = 21
+from .opo import ParameterDomainError, min_max_levels, quadrature_variance
 
 
 @dataclass(frozen=True)
@@ -176,37 +174,27 @@ def remove_circuit_noise(observed_db, clearance_db: float):
     return s if np.ndim(observed_db) else float(s)
 
 
-@lru_cache(maxsize=32)
-def _gh_nodes(n: int):
-    nodes, weights = roots_hermite(n)
-    return nodes, weights / math.sqrt(math.pi)
-
-
-def _gh_node_count(sigma: float, nodes: int) -> int:
-    # Gauss-Hermite needs roughly (b/2)^2 nodes to resolve cos(b*u) with
-    # b = 2*sqrt(2)*sigma; below sigma = 0.5 the configured count suffices.
-    if sigma <= 0.5:
-        return nodes
-    return max(nodes, int(math.ceil(4.0 * sigma * sigma)) + 40)
-
-
 def jitter_averaged_variance(theta0: float, sigma: float, alpha: float, rho: float,
-                             x: float, omega_norm: float,
-                             nodes: int = DEFAULT_GH_NODES) -> float:
+                             x: float, omega_norm: float, nodes: int | None = None) -> float:
     """Expected variance E[S(theta0 + d)] over LO phase jitter d ~ N(0, sigma^2).
 
-    Computed by Gauss-Hermite quadrature in the linear variance domain; the
-    node count is raised automatically when sigma is large enough that the
-    configured count cannot resolve the oscillatory integrand.  sigma = 0
-    returns the jitter-free variance exactly.
+    S(theta) = A + B*cos(2*theta) holds exactly, with A and B the mean and
+    half-difference of the extremal levels, and E[cos(2*(theta0 + d))] =
+    exp(-2*sigma^2)*cos(2*theta0), so the average is the closed form
+    A + B*exp(-2*sigma^2)*cos(2*theta0), exact at every sigma.  sigma = 0
+    returns the jitter-free variance S(theta0) exactly.
+
+    ``nodes`` is unused (the closed form needs no quadrature); it stays in
+    the signature so that existing callers keep working.
     """
     if not sigma >= 0.0:
         raise ParameterDomainError(f"jitter sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
         return float(quadrature_variance(theta0, alpha, rho, x, omega_norm))
-    u, w = _gh_nodes(_gh_node_count(sigma, nodes))
-    thetas = theta0 + math.sqrt(2.0) * sigma * u
-    return float(quadrature_variance(thetas, alpha, rho, x, omega_norm) @ w)
+    levels = min_max_levels(alpha, rho, x, omega_norm)
+    a = 0.5 * (levels.s_max + levels.s_min)
+    b = 0.5 * (levels.s_max - levels.s_min)
+    return a + b * math.exp(-2.0 * sigma * sigma) * math.cos(2.0 * theta0)
 
 
 def synthesize_trace(alpha: float, rho: float, x: float, omega_norm: float,

@@ -15,24 +15,48 @@ homoscedastic.
 When the acquisition is known to carry LO phase jitter of RMS sigma, the
 model mean is the Gauss-Hermite average of the dB curve over the jitter
 distribution, which keeps the fitted levels unbiased estimates of the
-underlying jitter-free levels.  A free jitter width would be structurally
-non-identifiable here: averaging only shrinks B by exp(-2*sigma^2), which a
-rescaled (s_min, s_max) pair reproduces exactly, so jitter enters the model
-as a fixed, known value.
+underlying jitter-free levels.  The dB map is nonlinear, so unlike the
+linear variance (see detection.jitter_averaged_variance) this average has
+no closed form and this module owns the quadrature rule.  A free jitter
+width would be structurally non-identifiable here: averaging only shrinks B
+by exp(-2*sigma^2), which a rescaled (s_min, s_max) pair reproduces
+exactly, so jitter enters the model as a fixed, known value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 
-from .detection import DEFAULT_GH_NODES, NoiseTrace, _gh_nodes
+from .detection import NoiseTrace
 from .opo import ParameterDomainError, VarianceLevels, from_db
+
+DEFAULT_GH_NODES = 21
 
 _LN10_OVER_10 = math.log(10.0) / 10.0
 _N_FREE = 4
+
+
+@lru_cache(maxsize=32)
+def _gh_nodes(n: int):
+    """Gauss-Hermite rule with n nodes, weights divided by sqrt(pi) so that
+    sum(w * f(u)) approximates E[f(U)] for U ~ N(0, 1/2).  The arrays are
+    shared between callers and therefore read-only."""
+    if n < 1:
+        raise ParameterDomainError(f"Gauss-Hermite node count must be >= 1, got {n}")
+    with np.errstate(all="ignore"):
+        nodes, weights = hermgauss(n)
+    if not np.all(np.isfinite(weights)):
+        raise ParameterDomainError(
+            f"Gauss-Hermite rule with {n} nodes is not representable in floating point")
+    weights = weights / math.sqrt(math.pi)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -125,7 +149,10 @@ def _lm_minimize(p0, t, y, floor, jitter, nodes, opts: FitOptions):
     accepted steps.  Returns (p, ssr, history, iterations, converged)."""
     p = np.asarray(p0, dtype=float).copy()
     lam = opts.lambda0
-    r = _model_db(p, t, floor, jitter, nodes) - y
+    with np.errstate(all="ignore"):
+        r = _model_db(p, t, floor, jitter, nodes) - y
+    if not np.all(np.isfinite(r)):
+        raise ParameterDomainError("start model gives non-finite residuals; check its levels and phase")
     ssr = float(r @ r)
     history = [ssr]
     converged = False
@@ -217,7 +244,8 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None,
     Non-convergence within the iteration cap returns the best-so-far values
     with ``converged=False``.  A trace without usable phase modulation is
     flagged ``phase_identifiable=False`` and the phase uncertainty is
-    reported as the full model period (pi).
+    reported as the full model period (pi).  A start model whose curve is
+    not finite (e.g. an overflowing level) raises ParameterDomainError.
     """
     if len(trace) < 10 * _N_FREE:
         raise ParameterDomainError(

@@ -117,10 +117,14 @@ def parse_trace(text: str) -> NoiseTrace:
                                   sample_count=int(header.pop("samples")),
                                   lo_scan=scan)
         shot_ref = float(header.pop("shot_reference_db", 0.0))
-        return NoiseTrace(times=np.asarray(times), powers_db=np.asarray(powers),
-                          acquisition=acq, shot_reference_db=shot_ref, metadata=header)
+        trace = NoiseTrace(times=np.asarray(times), powers_db=np.asarray(powers),
+                           acquisition=acq, shot_reference_db=shot_ref, metadata=header)
     except (ValueError, TypeError) as exc:  # bad header value or inconsistent samples
         raise TraceFormatError(f"invalid trace contents: {exc}") from None
+    if acq.sample_count != len(trace):
+        raise TraceFormatError(
+            f"header says samples={acq.sample_count} but the file has {len(trace)} data rows")
+    return trace
 
 
 def save_trace(trace: NoiseTrace, path) -> None:

@@ -225,3 +225,16 @@ class TestSynthesis:
         assert np.array_equal(ref1.powers_db, ref2.powers_db)
         assert not np.array_equal(ref1.powers_db, ref3.powers_db)
         assert abs(float(np.mean(ref1.powers_db))) < 0.05
+
+
+class TestJitterClosedFormAgainstTrapezoid:
+    # an oracle independent of the closed form: brute-force average over the jitter density
+    @pytest.mark.parametrize("sigma", [0.8, 3.0])
+    @pytest.mark.parametrize("theta0", [0.0, 0.7, math.pi / 2])
+    def test_against_brute_force_trapezoid(self, sigma, theta0):
+        deltas = np.linspace(-8 * sigma, 8 * sigma, 400_001)
+        density = np.exp(-0.5 * (deltas / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+        s = quadrature_variance(theta0 + deltas, ALPHA, RHO, X, OMEGA)
+        brute = float(np.trapezoid(s * density, deltas))
+        got = jitter_averaged_variance(theta0, sigma, ALPHA, RHO, X, OMEGA)
+        assert got == pytest.approx(brute, rel=1e-9)

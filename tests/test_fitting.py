@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
+from scipy.special import roots_hermite
 
 from sqzlab import (
     AcquisitionSettings,
@@ -17,7 +19,7 @@ from sqzlab import (
     min_max_levels,
     synthesize_trace,
 )
-from sqzlab.fitting import _model_db
+from sqzlab.fitting import _gh_nodes, _model_db
 
 ALPHA, RHO, X, OMEGA = 0.819819, 0.8525149190110828, 0.5656277572369306, 0.10720434894893513
 CLEARANCE = 14.0
@@ -154,3 +156,38 @@ class TestExtremaCrossCheck:
         levels = extrema_levels(trace, clearance_db=CLEARANCE)
         assert levels.s_min_db == pytest.approx(TRUTH.s_min_db, abs=0.5)
         assert levels.s_max_db == pytest.approx(TRUTH.s_max_db, abs=0.5)
+
+
+class TestGaussHermiteRule:
+    @pytest.mark.parametrize("n", [1, 2, 21, 61, 200])
+    def test_matches_scipy_roots_hermite(self, n):
+        nodes, weights = _gh_nodes(n)
+        ref_nodes, ref_weights = roots_hermite(n)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(weights, ref_weights / math.sqrt(math.pi), rtol=0.0, atol=1e-13)
+
+    # numpy's hermgauss weights overflow from about 380 nodes
+    @pytest.mark.parametrize("n", [0, -3, 400])
+    def test_unusable_node_count_rejected(self, n):
+        with pytest.raises(ParameterDomainError):
+            _gh_nodes(n)
+
+    def test_zero_nodes_with_jitter_rejected_by_fit(self):
+        trace = _synth(seed=340, jitter=0.05)
+        guess = replace(_perturbed_guess(jitter=0.05), gh_nodes=0)
+        with pytest.raises(ParameterDomainError):
+            fit_trace(trace, guess)
+
+
+class TestStartModelDomain:
+    def test_overflowing_start_level_rejected(self):
+        trace = _synth(seed=341)
+        guess = replace(_perturbed_guess(), s_max_db=4000.0)
+        with pytest.raises(ParameterDomainError, match="non-finite"):
+            fit_trace(trace, guess)
+
+    def test_nan_start_phase_rejected(self):
+        trace = _synth(seed=342)
+        guess = replace(_perturbed_guess(), theta0=math.nan)
+        with pytest.raises(ParameterDomainError, match="non-finite"):
+            fit_trace(trace, guess)

@@ -110,3 +110,10 @@ class TestParseErrors:
         text = serialize_trace(synthesize_trace(0.8, 0.8, 0.5, 0.1, chain, acquisition, 4))
         with pytest.raises(TraceFormatError, match="invalid trace"):
             parse_trace(text.replace("time_s,power_db\n0.0,", "time_s,power_db\n0.0,inf\n0.00003,", 1))
+
+
+class TestSampleCountHeader:
+    def test_header_count_must_match_rows(self, chain, acquisition):
+        text = serialize_trace(synthesize_trace(0.8, 0.8, 0.5, 0.1, chain, acquisition, 5))
+        with pytest.raises(TraceFormatError, match="samples=7 but the file has 401 data rows"):
+            parse_trace(text.replace("samples=401", "samples=7"))
