@@ -15,14 +15,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from sqzlab import (
     VarianceLevels,
     cavity_decay_rate,
-    detection_efficiency,
-    escape_efficiency,
     load_config,
     loss_only_explanation_check,
+    operating_point,
     predict_levels,
-    pump_parameter,
     reconcile_discrepancy,
-    spectral_point,
     sweep_pump,
     threshold_power,
     PumpSpec,
@@ -37,11 +34,8 @@ def main():
     f_hz = cfg.acquisition.center_frequency
 
     p_th = threshold_power(cfg.cavity)
-    rho = escape_efficiency(cfg.cavity)
-    alpha = detection_efficiency(cfg.detection)
     gamma = cavity_decay_rate(cfg.cavity)
-    omega_norm = spectral_point(cfg.cavity, f_hz).detuning_parameter
-    x = pump_parameter(cfg.pump, p_th)
+    alpha, rho, x, omega_norm = operating_point(cfg.cavity, cfg.detection, cfg.pump, f_hz)
 
     print("== derived parameters ==")
     print(f"threshold power      P_th  = {p_th * 1e3:.4g} mW")

@@ -8,16 +8,12 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from sqzlab import (
-    detection_efficiency,
-    escape_efficiency,
     fit_trace,
     initial_guess,
     load_config,
     min_max_levels,
-    pump_parameter,
-    spectral_point,
+    operating_point,
     synthesize_trace,
-    threshold_power,
 )
 
 CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "ppktp_795nm.cfg"
@@ -26,15 +22,12 @@ CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "ppktp_795nm.
 def main(seed: int = 42):
     cfg = load_config(CONFIG)
     acq = cfg.acquisition
-    alpha = detection_efficiency(cfg.detection)
-    rho = escape_efficiency(cfg.cavity)
-    x = pump_parameter(cfg.pump, threshold_power(cfg.cavity))
-    omega_norm = spectral_point(cfg.cavity, acq.center_frequency).detuning_parameter
-    truth = min_max_levels(alpha, rho, x, omega_norm)
+    point = operating_point(cfg.cavity, cfg.detection, cfg.pump, acq.center_frequency)
+    truth = min_max_levels(*point)
 
-    trace = synthesize_trace(alpha, rho, x, omega_norm, cfg.detection, acq, seed)
+    trace = synthesize_trace(*point, cfg.detection, acq, seed)
     guess = initial_guess(trace, clearance_db=cfg.detection.circuit_noise_clearance_db,
-                          omega_norm=omega_norm, jitter_sigma=acq.lo_scan.jitter_sigma)
+                          omega_norm=point[3], jitter_sigma=acq.lo_scan.jitter_sigma)
     result = fit_trace(trace, guess)
 
     print(f"seed {seed}: {len(trace)} samples, jitter {acq.lo_scan.jitter_sigma} rad, "

@@ -6,8 +6,11 @@ frequency.  ``reconcile_discrepancy`` solves the inverse problem posed by a
 measurement that disagrees with that prediction: find a multiplicative
 correction to the measured parametric gain together with an extra unknown
 efficiency factor such that the corrected prediction matches the measured
-level pair.  ``loss_only_explanation_check`` asks the narrower question of
-whether extra loss alone can do the job.
+level pair.  The solution is closed form; a pair with no root in the
+correction box gets the least-squares point on the box edge.
+``loss_only_explanation_check`` asks the narrower question of whether extra
+loss alone can do the job.  ``operating_point`` derives the model inputs
+that all of them share.
 
 Measured levels are dB re the measured shot noise, so all comparisons here
 are made between measured values and circuit-noise-mapped predictions.
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectionChain, apply_circuit_noise, detection_efficiency
+from .detection import DetectionChain, apply_circuit_noise, detection_efficiency, remove_circuit_noise
 from .opo import (
     AboveThresholdError,
     CavityParams,
@@ -39,6 +42,15 @@ GAIN_SCALE_BOX = (0.5, 1.5)
 EFFICIENCY_SCALE_BOX = (0.3, 1.0)
 
 
+def operating_point(cavity: CavityParams, chain: DetectionChain, pump: PumpSpec,
+                    frequency_hz: float) -> tuple[float, float, float, float]:
+    """(alpha, rho, x, omega_norm) at one analysis frequency, in the argument
+    order of ``min_max_levels`` and ``synthesize_trace``."""
+    return (detection_efficiency(chain), escape_efficiency(cavity),
+            pump_parameter(pump, threshold_power(cavity)),
+            spectral_point(cavity, frequency_hz).detuning_parameter)
+
+
 def predict_levels(cavity: CavityParams, chain: DetectionChain, pump: PumpSpec,
                    frequency_hz: float, include_circuit_noise: bool = False) -> VarianceLevels:
     """Predicted squeezing/anti-squeezing levels at the given analysis frequency.
@@ -47,11 +59,7 @@ def predict_levels(cavity: CavityParams, chain: DetectionChain, pump: PumpSpec,
     would display relative to the measured shot noise (electronic floor in
     both signal and reference).
     """
-    alpha = detection_efficiency(chain)
-    rho = escape_efficiency(cavity)
-    x = pump_parameter(pump, threshold_power(cavity))
-    omega_norm = spectral_point(cavity, frequency_hz).detuning_parameter
-    levels = min_max_levels(alpha, rho, x, omega_norm)
+    levels = min_max_levels(*operating_point(cavity, chain, pump, frequency_hz))
     if not include_circuit_noise:
         return levels
     clearance = chain.circuit_noise_clearance_db
@@ -124,6 +132,7 @@ class ReconcileResult:
     the same correction expressed on sqrt(G), the amplitude gain, since a
     fractional correction reads very differently on the two scales.
     residual_db is the remaining 2-norm misfit of the level pair.
+    iterations is always 0: the solution is closed-form.
     """
 
     gain_scale: float
@@ -135,91 +144,90 @@ class ReconcileResult:
     exact_match: bool
 
 
-def _scaled_prediction_db(gain_scale: float, efficiency_scale: float, nominal_gain: float,
-                          alpha: float, rho: float, omega_norm: float,
-                          clearance_db: float) -> np.ndarray:
-    scaled_gain = max(gain_scale * nominal_gain, 1.0)
-    x = 1.0 - 1.0 / math.sqrt(scaled_gain)
-    levels = min_max_levels(min(efficiency_scale * alpha, 1.0), rho, x, omega_norm)
-    return np.array([
-        float(apply_circuit_noise(levels.s_min, clearance_db)),
-        float(apply_circuit_noise(levels.s_max, clearance_db)),
-    ])
+def _scaled_prediction_db(gain_scale, efficiency_scale, nominal_gain: float, alpha: float,
+                          rho: float, omega_norm: float, clearance_db: float):
+    """Observed (s_min_db, s_max_db) with the gain and the detection efficiency
+    scaled; the scales may be arrays that broadcast together."""
+    x = 1.0 - 1.0 / np.sqrt(np.maximum(gain_scale * nominal_gain, 1.0))
+    w2 = 4.0 * omega_norm * omega_norm
+    ar = efficiency_scale * alpha * rho
+    s_max = ((1.0 - x) ** 2 + w2 + 4.0 * ar * x) / ((1.0 - x) ** 2 + w2)
+    s_min = ((1.0 - x) ** 2 + 4.0 * x * (1.0 - ar) + w2) / ((1.0 + x) ** 2 + w2)
+    return apply_circuit_noise(s_min, clearance_db), apply_circuit_noise(s_max, clearance_db)
+
+
+def _edge_minimum(misfit, lo: float, hi: float) -> float:
+    """Argmin of misfit(t) over [lo, hi]: a 65-point grid, narrowed five times
+    around its best point."""
+    for _ in range(5):
+        t = np.linspace(lo, hi, 65)
+        i = int(np.argmin(misfit(t)))
+        lo, hi = t[max(i - 1, 0)], t[min(i + 1, 64)]
+    return float(t[i])
 
 
 def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
-                          chain: DetectionChain, pump: PumpSpec, frequency_hz: float,
-                          tol: float = 1e-10, max_iterations: int = 200) -> ReconcileResult:
-    """Find (gain_scale, efficiency_scale) whose corrected prediction matches
-    the measured levels.
+                          chain: DetectionChain, pump: PumpSpec,
+                          frequency_hz: float) -> ReconcileResult:
+    """Find (gain_scale, efficiency_scale), g in (0.5, 1.5) and e in (0.3, 1],
+    whose corrected prediction matches the measured levels.
 
-    Solves the 2x2 system F(g, e) = predicted(g, e) - measured = 0 by a
-    damped Newton iteration (finite-difference Jacobian, step halving),
-    constrained to g in (0.5, 1.5) and e in (0.3, 1].  If no root exists in
-    the box the boundary least-squares point is returned with its nonzero
-    residual and ``exact_match=False``.
+    The measured levels, mapped back through the electronic floor to S_min
+    and S_max, give R = (S_max - 1) / (1 - S_min) = D+ / D-, with
+    D+- = (1 +- x)^2 + 4 W^2: a quadratic in the pump parameter x.  Its root
+    x = (R - 1)(1 + 4W^2) / (1 + R + sqrt((1 + R)^2 - (1 - R)^2 (1 + 4W^2)))
+    in [0, 1) gives g = 1 / ((1 - x)^2 G) and e = (S_max - 1) D- / (4 a r x).
+
+    With no root (R <= 1, a level on the wrong side of shot noise, or a
+    negative discriminant) or a root outside the box, the least-squares point
+    on the box edge is returned with ``exact_match=False``: R(x) is strictly
+    increasing, so every interior critical point of the misfit is a root.
+    Each edge is scanned on a 1-D grid narrowed around its best point.
+    ``iterations`` is always 0.  A level at or below the electronic floor
+    raises ParameterDomainError.
     """
     if pump.kind != "gain":
         raise ParameterDomainError(
             "reconciliation corrects a measured parametric gain; supply the pump as a gain")
     gain = pump.parametric_gain
-    alpha = detection_efficiency(chain)
-    rho = escape_efficiency(cavity)
-    omega_norm = spectral_point(cavity, frequency_hz).detuning_parameter
+    alpha, rho, _, omega_norm = operating_point(cavity, chain, pump, frequency_hz)
     clearance = chain.circuit_noise_clearance_db
-    target = np.array([measured.s_min_db, measured.s_max_db])
+    s_min, s_max = remove_circuit_noise(np.array([measured.s_min_db, measured.s_max_db]),
+                                        clearance)
+
+    def misfit(g, e):
+        lo_db, hi_db = _scaled_prediction_db(g, e, gain, alpha, rho, omega_norm, clearance)
+        return np.hypot(lo_db - measured.s_min_db, hi_db - measured.s_max_db)
 
     g_lo, g_hi = GAIN_SCALE_BOX
     e_lo, e_hi = EFFICIENCY_SCALE_BOX
-    eps = 1e-7
-
-    def clip(v):
-        return np.array([min(max(v[0], g_lo + eps), g_hi - eps),
-                         min(max(v[1], e_lo + eps), e_hi)])
-
-    def residual(v):
-        return _scaled_prediction_db(v[0], v[1], gain, alpha, rho, omega_norm, clearance) - target
-
-    v = np.array([1.0, 0.9])
-    r = residual(v)
-    norm = float(np.linalg.norm(r))
-    it = 0
-    for it in range(1, max_iterations + 1):
-        if norm < tol:
-            break
-        jac = np.empty((2, 2))
-        for j in range(2):
-            dv = np.zeros(2)
-            dv[j] = eps
-            v_pert = clip(v + dv)
-            if v_pert[j] == v[j]:  # at the upper box edge: difference backwards
-                v_pert = clip(v - dv)
-            jac[:, j] = (residual(v_pert) - r) / (v_pert[j] - v[j])
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -r, rcond=None)[0]
-        # damped: halve until the residual norm decreases
-        improved = False
-        for _ in range(40):
-            v_new = clip(v + step)
-            r_new = residual(v_new)
-            norm_new = float(np.linalg.norm(r_new))
-            if norm_new < norm:
-                v, r, norm = v_new, r_new, norm_new
-                improved = True
-                break
-            step = 0.5 * step
-        if not improved:
-            break
-    g, e = float(v[0]), float(v[1])
+    in_box = False
+    if 0.0 < 1.0 - s_min < s_max - 1.0:  # R > 1, both levels on their side of shot noise
+        ratio = (s_max - 1.0) / (1.0 - s_min)
+        w2 = 4.0 * omega_norm * omega_norm
+        disc = (1.0 + ratio) ** 2 - (1.0 - ratio) ** 2 * (1.0 + w2)
+        if disc >= 0.0:
+            x = (ratio - 1.0) * (1.0 + w2) / (1.0 + ratio + math.sqrt(disc))
+            if x < 1.0:
+                g = 1.0 / ((1.0 - x) ** 2 * gain)
+                e = (s_max - 1.0) * ((1.0 - x) ** 2 + w2) / (4.0 * alpha * rho * x)
+                in_box = g_lo < g < g_hi and e_lo < e <= e_hi + 1e-12  # e = 1 to rounding
+    if not in_box:
+        eps = 1e-7  # the box is open at g = 0.5, 1.5 and e = 0.3
+        g_lo, g_hi, e_lo = g_lo + eps, g_hi - eps, e_lo + eps
+        edges = [(fixed, _edge_minimum(lambda t: misfit(fixed, t), e_lo, e_hi))
+                 for fixed in (g_lo, g_hi)]
+        edges += [(_edge_minimum(lambda t: misfit(t, fixed), g_lo, g_hi), fixed)
+                  for fixed in (e_lo, e_hi)]
+        g, e = min(edges, key=lambda point: misfit(*point))
+    norm = float(misfit(g, e))
     return ReconcileResult(
-        gain_scale=g,
-        efficiency_scale=e,
+        gain_scale=float(g),
+        efficiency_scale=min(float(e), e_hi),
         residual_db=norm,
         amplitude_gain_scale=math.sqrt(g),
-        corrected_gain=g * gain,
-        iterations=it,
+        corrected_gain=float(g * gain),
+        iterations=0,
         exact_match=norm < 1e-6,
     )
 
@@ -246,22 +254,21 @@ def loss_only_explanation_check(measured: VarianceLevels, cavity: CavityParams,
     the resulting anti-squeezing error.
 
     The squeezing level pins the efficiency scale in closed form: with
-    S_min = 1 - 4*a*r*x / D and the measured S_min recovered from the
-    circuit-noise map, e = (1 - S_min_meas) * D / (4*a*r*x).  Feasible means
-    the implied anti-squeezing agrees within ``tolerance_db``.
+    S_min = 1 - 4*a*r*x / D+, D+ = (1 + x)^2 + 4 W^2, and the measured S_min
+    recovered from the circuit-noise map, e = (1 - S_min_meas) * D+ / (4*a*r*x).
+    Feasible means the implied anti-squeezing agrees within ``tolerance_db``.
+    A pump at x = 0 or a squeezing level outside (floor, shot noise) raises
+    ParameterDomainError.
     """
-    alpha = detection_efficiency(chain)
-    rho = escape_efficiency(cavity)
-    x = pump_parameter(pump, threshold_power(cavity))
-    omega_norm = spectral_point(cavity, frequency_hz).detuning_parameter
+    alpha, rho, x, omega_norm = operating_point(cavity, chain, pump, frequency_hz)
+    if not x > 0.0:
+        raise ParameterDomainError("loss-only check needs a pump above zero (x > 0)")
     clearance = chain.circuit_noise_clearance_db
-
-    floor = chain.circuit_noise_floor
-    s_min_underlying = measured.s_min * (1.0 + floor) - floor
-    if not 0.0 < s_min_underlying < 1.0:
-        raise ParameterDomainError("measured squeezing level must lie between the electronic floor and shot noise")
-    d_minus = (1.0 + x) ** 2 + 4.0 * omega_norm ** 2
-    e = (1.0 - s_min_underlying) * d_minus / (4.0 * alpha * rho * x)
+    s_min_underlying = remove_circuit_noise(measured.s_min_db, clearance)
+    if not s_min_underlying < 1.0:
+        raise ParameterDomainError("measured squeezing level must lie below shot noise")
+    d_plus = (1.0 + x) ** 2 + 4.0 * omega_norm ** 2
+    e = (1.0 - s_min_underlying) * d_plus / (4.0 * alpha * rho * x)
     e = min(e, 1.0)  # efficiency cannot exceed the nominal chain
     levels = min_max_levels(e * alpha, rho, x, omega_norm)
     s_max_pred_db = float(apply_circuit_noise(levels.s_max, clearance))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import analysis, fitting, traceio
@@ -27,12 +28,9 @@ from .opo import (
     PumpSpec,
     VarianceLevels,
     cavity_decay_rate,
-    escape_efficiency,
-    pump_parameter,
     spectral_point,
     threshold_power,
 )
-from .detection import detection_efficiency
 from .traceio import TraceFormatError
 
 _CIRCUIT_NOTE = (
@@ -67,17 +65,18 @@ def _parse_level_pair(text: str) -> VarianceLevels:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"non-numeric level in {text!r}") from None
+    for value in (lo, hi):
+        if not math.isfinite(value):
+            raise ConfigError(f"level must be finite, got {value} in {text!r}")
     return VarianceLevels.from_db(lo, hi)
 
 
 def _cmd_predict(args) -> int:
     cfg = load_config(args.config)
     p_th = threshold_power(cfg.cavity)
-    rho = escape_efficiency(cfg.cavity)
-    alpha = detection_efficiency(cfg.detection)
     frequency = cfg.acquisition.center_frequency if cfg.acquisition else args.frequency_hz
-    point = spectral_point(cfg.cavity, frequency)
-    x = pump_parameter(cfg.pump, p_th)
+    alpha, rho, x, omega_norm = analysis.operating_point(cfg.cavity, cfg.detection,
+                                                         cfg.pump, frequency)
     levels = analysis.predict_levels(cfg.cavity, cfg.detection, cfg.pump, frequency)
     observed = None
     if args.circuit_noise:
@@ -89,7 +88,7 @@ def _cmd_predict(args) -> int:
             "escape_efficiency": rho,
             "detection_efficiency": alpha,
             "decay_rate_rad_s": cavity_decay_rate(cfg.cavity),
-            "detuning": point.detuning_parameter,
+            "detuning": omega_norm,
             "pump_parameter": x,
             "s_min_db": levels.s_min_db,
             "s_max_db": levels.s_max_db,
@@ -103,7 +102,7 @@ def _cmd_predict(args) -> int:
         print(f"rho = {_fmt(rho)}")
         print(f"alpha = {_fmt(alpha)}")
         print(f"gamma = {_fmt(cavity_decay_rate(cfg.cavity))} rad/s")
-        print(f"Omega = {_fmt(point.detuning_parameter)}")
+        print(f"Omega = {_fmt(omega_norm)}")
         print(f"x = {_fmt(x)}")
         print(f"s_min = {_fmt(levels.s_min_db)} dB")
         print(f"s_max = {_fmt(levels.s_max_db)} dB")
@@ -120,11 +119,9 @@ def _cmd_synth(args) -> int:
     if args.shot_reference:
         trace = synthesize_shot_reference(acq, cfg.detection, args.seed)
     else:
-        alpha = detection_efficiency(cfg.detection)
-        rho = escape_efficiency(cfg.cavity)
-        x = pump_parameter(cfg.pump, threshold_power(cfg.cavity))
-        omega_norm = spectral_point(cfg.cavity, acq.center_frequency).detuning_parameter
-        trace = synthesize_trace(alpha, rho, x, omega_norm, cfg.detection, acq, args.seed)
+        point = analysis.operating_point(cfg.cavity, cfg.detection, cfg.pump,
+                                         acq.center_frequency)
+        trace = synthesize_trace(*point, cfg.detection, acq, args.seed)
     traceio.save_trace(trace, args.out)
     print(f"wrote {len(trace)} samples to {args.out}")
     return 0
@@ -193,7 +190,11 @@ def _cmd_sweep(args) -> int:
     pumps = []
     if args.gains:
         for item in args.gains.split(","):
-            pumps.append(PumpSpec(parametric_gain=float(item)))
+            try:
+                gain = float(item)
+            except ValueError:
+                raise ConfigError(f"non-numeric gain {item!r} in --gains") from None
+            pumps.append(PumpSpec(parametric_gain=gain))
     else:
         for item in args.powers.split(","):
             watts = parse_quantity(item.strip(), "power", "power", 0)

@@ -13,6 +13,7 @@ from sqzlab import (
     escape_efficiency,
     loss_only_explanation_check,
     min_max_levels,
+    operating_point,
     predict_levels,
     pump_parameter,
     reconcile_discrepancy,
@@ -211,3 +212,65 @@ class TestLossOnly:
         report = loss_only_explanation_check(nominal, cavity, chain, pump_gain, F0)
         assert report.feasible
         assert report.efficiency_scale == pytest.approx(1.0, abs=1e-9)
+
+
+def _assert_boundary_optimum(measured, cavity, chain, pump):
+    """No in-box root: the result is an edge point no worse than the grid oracle."""
+    result = reconcile_discrepancy(measured, cavity, chain, pump, F0)
+    _, _, r_grid = _grid_search_oracle(measured, cavity, chain, pump.parametric_gain)
+    assert result.residual_db <= r_grid + 1e-9
+    assert not result.exact_match
+    assert min(abs(result.gain_scale - 0.5), abs(result.gain_scale - 1.5),
+               abs(result.efficiency_scale - 0.3), abs(result.efficiency_scale - 1.0)) <= 1e-6
+
+
+class TestReconcileClosedForm:
+    @pytest.mark.parametrize("pair_db", [(-0.5, 14.0), (-2.0, 0.0)])
+    def test_out_of_box_pair_no_worse_than_grid_oracle(self, cavity, chain, pump_gain, pair_db):
+        _assert_boundary_optimum(VarianceLevels.from_db(*pair_db), cavity, chain, pump_gain)
+
+    @pytest.mark.parametrize("g_true", [1.6, 1.8, 2.0])
+    @pytest.mark.parametrize("e_true", [0.5, 0.9])
+    def test_pair_made_beyond_box_no_worse_than_grid_oracle(self, cavity, chain, pump_gain,
+                                                            g_true, e_true):
+        forged = _forward_levels(cavity, chain, pump_gain, g_true, e_true)
+        _assert_boundary_optimum(forged, cavity, chain, pump_gain)
+
+    @pytest.mark.parametrize("g_true", [0.55, 0.7, 0.85, 1.0, 1.15, 1.3, 1.45])
+    @pytest.mark.parametrize("e_true", [0.35, 0.48, 0.61, 0.74, 0.87, 1.0])
+    def test_in_box_recovery(self, cavity, chain, pump_gain, g_true, e_true):
+        forged = _forward_levels(cavity, chain, pump_gain, g_true, e_true)
+        result = reconcile_discrepancy(forged, cavity, chain, pump_gain, F0)
+        assert result.gain_scale == pytest.approx(g_true, abs=1e-10)
+        assert result.efficiency_scale == pytest.approx(e_true, abs=1e-10)
+        assert result.exact_match
+        assert result.iterations == 0
+
+    def test_quoted_pair_to_twelve_digits(self, cavity, chain, pump_gain):
+        result = reconcile_discrepancy(MEASURED, cavity, chain, pump_gain, F0)
+        assert result.gain_scale == pytest.approx(0.8210948818791952, abs=1e-12)
+        assert result.efficiency_scale == pytest.approx(0.7903508473019147, abs=1e-12)
+
+    def test_level_below_electronic_floor_rejected(self, cavity, chain, pump_gain):
+        # the 14 dB clearance puts the observable floor near -14.2 dB
+        below_floor = VarianceLevels.from_db(-20.0, 7.0)
+        with pytest.raises(ParameterDomainError):
+            reconcile_discrepancy(below_floor, cavity, chain, pump_gain, F0)
+
+
+class TestOperatingPoint:
+    def test_equals_separate_calls(self, cavity, chain, pump_gain):
+        point = operating_point(cavity, chain, pump_gain, F0)
+        assert point == (
+            detection_efficiency(chain),
+            escape_efficiency(cavity),
+            pump_parameter(pump_gain, threshold_power(cavity)),
+            spectral_point(cavity, F0).detuning_parameter,
+        )
+
+
+class TestLossOnlyDomain:
+    @pytest.mark.parametrize("pump", [PumpSpec(parametric_gain=1.0), PumpSpec(pump_parameter=0.0)])
+    def test_zero_pump_rejected(self, cavity, chain, pump):
+        with pytest.raises(ParameterDomainError):
+            loss_only_explanation_check(MEASURED, cavity, chain, pump, F0)

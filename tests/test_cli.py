@@ -197,6 +197,30 @@ class TestReconcile:
         assert "loss_only = infeasible" in out
 
 
+
+class TestMalformedInputs:
+    def test_non_numeric_gain_rejected(self, capsys, config_path):
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config_path),
+                               "--gains", "2,abc")
+        assert code == 1
+        assert "'abc'" in err
+
+    @pytest.mark.parametrize("pair", ["nan,7", "-2.75,inf", "-inf,7"])
+    def test_non_finite_level_rejected(self, capsys, config_path, pair):
+        code, _, err = run_cli(capsys, "reconcile", "--config", str(config_path),
+                               "--measured", pair)
+        assert code == 1
+        assert "finite" in err
+        assert pair.split(",")[0] in err or pair.split(",")[1] in err
+
+    def test_reconcile_at_unit_gain_is_a_domain_error(self, capsys, config_path, tmp_path):
+        cfg = tmp_path / "unit_gain.cfg"
+        cfg.write_text(config_path.read_text().replace("gain = 5.3", "gain = 1.0"))
+        code, _, err = run_cli(capsys, "reconcile", "--config", str(cfg),
+                               "--measured", "-2.75,7.00")
+        assert code == 1
+        assert err.startswith("error:") and "x > 0" in err
+
 class TestEntryPoint:
     def test_console_script(self, config_path):
         proc = subprocess.run([sys.executable, "-m", "sqzlab.cli", "predict",
