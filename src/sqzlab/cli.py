@@ -273,10 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def add_common(p, formats=("text", "json", "csv")):
+        p.add_argument("--config", required=True, help="experiment config file")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--frequency-hz", type=float, default=1e6, dest="frequency_hz",
                        help="analysis frequency when the config has no [acquisition] block")
 
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("fit", help="fit a noise trace")
-    add_common(p)
+    add_common(p, formats=("text", "json"))
     p.add_argument("--trace", required=True, help="trace file to fit")
     p.add_argument("--report", choices=("text", "json"), dest="format",
                    default=argparse.SUPPRESS, help="alias for --format")

@@ -21,6 +21,10 @@ no closed form and this module owns the quadrature rule.  A free jitter
 width would be structurally non-identifiable here: averaging only shrinks B
 by exp(-2*sigma^2), which a rescaled (s_min, s_max) pair reproduces
 exactly, so jitter enters the model as a fixed, known value.
+
+The start needs no search: in linear power the mean trace is linear in
+(A, B*cos 2*theta0, B*sin 2*theta0) at the known scan rate (the separable
+structure of Golub & Pereyra, 1973), so initial_guess is one regression.
 """
 
 from __future__ import annotations
@@ -33,12 +37,14 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .detection import NoiseTrace
-from .opo import ParameterDomainError, VarianceLevels, from_db
+from .opo import ParameterDomainError, VarianceLevels
 
 DEFAULT_GH_NODES = 21
 
 _LN10_OVER_10 = math.log(10.0) / 10.0
 _N_FREE = 4
+_MIN_START_FRACTION = 0.01  # s_min start floor, fraction of the mean level A
+_GRADIENT_COSINE_TOL = 1e-6  # MINPACK max|J_i.r|/(|J_i||r|) at a stationary point
 
 
 @lru_cache(maxsize=32)
@@ -107,10 +113,8 @@ class FitResult:
 
 
 def _model_db(p: np.ndarray, t: np.ndarray, floor: float, jitter: float, nodes: int) -> np.ndarray:
-    s_min = 10.0 ** (p[0] / 10.0)
-    s_max = 10.0 ** (p[1] / 10.0)
-    a = 0.5 * (s_max + s_min)
-    b = 0.5 * (s_max - s_min)
+    s_min, s_max = 10.0 ** (p[0] / 10.0), 10.0 ** (p[1] / 10.0)
+    a, b = 0.5 * (s_max + s_min), 0.5 * (s_max - s_min)
     theta = p[2] + p[3] * t
     if jitter > 0.0:
         u, w = _gh_nodes(nodes)
@@ -121,10 +125,8 @@ def _model_db(p: np.ndarray, t: np.ndarray, floor: float, jitter: float, nodes: 
 
 
 def _jacobian(p: np.ndarray, t: np.ndarray, floor: float, jitter: float, nodes: int) -> np.ndarray:
-    s_min = 10.0 ** (p[0] / 10.0)
-    s_max = 10.0 ** (p[1] / 10.0)
-    a = 0.5 * (s_max + s_min)
-    b = 0.5 * (s_max - s_min)
+    s_min, s_max = 10.0 ** (p[0] / 10.0), 10.0 ** (p[1] / 10.0)
+    a, b = 0.5 * (s_max + s_min), 0.5 * (s_max - s_min)
     theta = p[2] + p[3] * t
     if jitter > 0.0:
         u, w = _gh_nodes(nodes)
@@ -133,14 +135,12 @@ def _jacobian(p: np.ndarray, t: np.ndarray, floor: float, jitter: float, nodes: 
         ph = 2.0 * theta[:, None]
         w = np.ones(1)
     c = np.cos(ph)
-    s = a + b * c
-    inv = 1.0 / (s + floor)
+    inv = 1.0 / (a + b * c + floor)
     jac = np.empty((t.size, _N_FREE))
     jac[:, 0] = (0.5 * s_min * (1.0 - c) * inv) @ w
     jac[:, 1] = (0.5 * s_max * (1.0 + c) * inv) @ w
-    dtheta = (-2.0 * b * np.sin(ph) * inv) @ w / _LN10_OVER_10
-    jac[:, 2] = dtheta
-    jac[:, 3] = dtheta * t
+    jac[:, 2] = (-2.0 * b * np.sin(ph) * inv) @ w / _LN10_OVER_10
+    jac[:, 3] = jac[:, 2] * t
     return jac
 
 
@@ -163,21 +163,26 @@ def _lm_minimize(p0, t, y, floor, jitter, nodes, opts: FitOptions):
         hess = jac.T @ jac
         diag = np.diag(np.maximum(np.diag(hess), 1e-14))
         accepted = False
-        step = None
         for _ in range(60):
-            try:
-                step = np.linalg.solve(hess + lam * diag, -grad)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(hess + lam * diag, -grad, rcond=None)[0]
-            p_new = p + step
-            r_new = _model_db(p_new, t, floor, jitter, nodes) - y
-            ssr_new = float(r_new @ r_new)
-            if ssr_new < ssr:
+            with np.errstate(all="ignore"):
+                damped = hess + lam * diag
+                if not np.all(np.isfinite(damped)):
+                    break  # the damping has overflowed; no smaller step exists
+                try:
+                    step = np.linalg.solve(damped, -grad)
+                except np.linalg.LinAlgError:
+                    step = np.linalg.lstsq(damped, -grad, rcond=None)[0]
+                p_new = p + step
+                r_new = _model_db(p_new, t, floor, jitter, nodes) - y
+                ssr_new = float(r_new @ r_new)
+            if math.isfinite(ssr_new) and ssr_new < ssr:
                 accepted = True
                 break
             lam *= 4.0
         if not accepted:
-            converged = True  # no descent direction left at this damping range
+            # no damped step descends: converged only at a stationary point
+            cosine = np.abs(grad) / np.maximum(np.linalg.norm(jac, axis=0) * math.sqrt(ssr), 1e-300)
+            converged = bool(np.max(cosine) <= _GRADIENT_COSINE_TOL)
             break
         rel_drop = (ssr - ssr_new) / max(ssr, 1e-300)
         p, r, ssr = p_new, r_new, ssr_new
@@ -210,27 +215,22 @@ def _normalize(p: np.ndarray, cov: np.ndarray):
 def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.0,
                   jitter_sigma: float = 0.0, scan_rate: float | None = None,
                   gh_nodes: int = DEFAULT_GH_NODES) -> FitModel:
-    """Build a starting FitModel from trace percentiles and a coarse phase scan."""
-    y = trace.powers_db
+    """Closed-form start: regress the linear powers 10^(y/10)*(1+n) - n, which
+    are mean-unbiased (the estimator factor has mean 1), on [1, cos, sin] of
+    2*rate*t; their mean is A + B*exp(-2*sigma^2)*cos(2*theta0 + 2*rate*t).
+    s_min starts no lower than A/100: far below, its Jacobian column vanishes
+    and LM trial steps overflow."""
     floor = 10.0 ** (-clearance_db / 10.0)
-    lo_obs, hi_obs = np.percentile(y, [2.0, 98.0])
-    # invert the circuit map; clamp to keep a usable guess for extreme traces
-    lo = max(from_db(lo_obs) * (1.0 + floor) - floor, 1e-4)
-    hi = max(from_db(hi_obs) * (1.0 + floor) - floor, lo * 1.0001)
-    if jitter_sigma > 0.0:
-        shrink = math.exp(-2.0 * jitter_sigma * jitter_sigma)
-        a, b = 0.5 * (hi + lo), 0.5 * (hi - lo) / shrink
-        lo, hi = max(a - b, lo * 0.05), a + b
     rate = scan_rate if scan_rate is not None else trace.acquisition.lo_scan.rate
-    p = np.array([10.0 * math.log10(lo), 10.0 * math.log10(hi), 0.0, rate])
-    best_theta0, best_ssr = 0.0, math.inf
-    for k in range(24):
-        p[2] = k * math.pi / 24.0
-        r = _model_db(p, trace.times, floor, jitter_sigma, gh_nodes) - y
-        ssr = float(r @ r)
-        if ssr < best_ssr:
-            best_theta0, best_ssr = p[2], ssr
-    return FitModel(s_min_db=p[0], s_max_db=p[1], theta0=best_theta0, scan_rate=rate,
+    phase = 2.0 * rate * trace.times
+    design = np.column_stack((np.ones_like(phase), np.cos(phase), np.sin(phase)))
+    s = 10.0 ** (trace.powers_db / 10.0) * (1.0 + floor) - floor
+    (a, bc, bs), *_ = np.linalg.lstsq(design, s, rcond=None)
+    a = max(a, floor)
+    b = math.hypot(bc, bs) / math.exp(-2.0 * jitter_sigma * jitter_sigma)
+    lo, hi = max(a - b, _MIN_START_FRACTION * a), a + b
+    return FitModel(s_min_db=10.0 * math.log10(lo), s_max_db=10.0 * math.log10(hi),
+                    theta0=0.5 * math.atan2(-bs, bc) % math.pi, scan_rate=rate,
                     omega_norm=omega_norm, clearance_db=clearance_db,
                     jitter_sigma=jitter_sigma, gh_nodes=gh_nodes)
 
@@ -240,9 +240,10 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None,
     """Fit the scanned-phase model to a noise trace.
 
     ``model`` supplies the initial guess and the fixed context (clearance,
-    detuning, known jitter); if omitted, a guess is built from the trace.
-    Non-convergence within the iteration cap returns the best-so-far values
-    with ``converged=False``.  A trace without usable phase modulation is
+    detuning, known jitter); if omitted, initial_guess builds it from the
+    trace and its recorded jitter.  Non-convergence (the iteration cap, or no
+    descending step from a non-stationary point) returns the best-so-far
+    values with ``converged=False``.  A trace without usable phase modulation is
     flagged ``phase_identifiable=False`` and the phase uncertainty is
     reported as the full model period (pi).  A start model whose curve is
     not finite (e.g. an overflowing level) raises ParameterDomainError.
@@ -252,7 +253,8 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None,
             f"need at least {10 * _N_FREE} samples to fit {_N_FREE} parameters, got {len(trace)}")
     opts = options or FitOptions()
     if model is None:
-        model = initial_guess(trace, clearance_db=trace.metadata.get("clearance_db", 14.0))
+        model = initial_guess(trace, clearance_db=trace.metadata.get("clearance_db", 14.0),
+                              jitter_sigma=trace.acquisition.lo_scan.jitter_sigma)
     floor = 10.0 ** (-model.clearance_db / 10.0)
     t, y = trace.times, trace.powers_db
     p0 = np.array([model.s_min_db, model.s_max_db, model.theta0, model.scan_rate])
@@ -265,10 +267,7 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None,
     dof = max(len(trace) - _N_FREE, 1)
     scale = ssr / dof
     hess = jac.T @ jac
-    if full_rank:
-        cov = scale * np.linalg.inv(hess)
-    else:
-        cov = scale * np.linalg.pinv(hess)
+    cov = scale * (np.linalg.inv(hess) if full_rank else np.linalg.pinv(hess))
     p, cov = _normalize(p, cov)
     sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
     # the phase is meaningful only if the modulation amplitude is established
@@ -299,7 +298,8 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None,
 
 def extrema_levels(trace: NoiseTrace, clearance_db: float,
                    jitter_sigma: float = 0.0) -> VarianceLevels:
-    """Cross-check mode: extract levels from trace percentiles alone, without
-    the scan-model fit.  Coarser than fit_trace; useful as a sanity check."""
+    """Cross-check mode: levels from the closed-form regression of
+    initial_guess alone, without the scan-model fit.  Coarser than fit_trace;
+    useful as a sanity check."""
     guess = initial_guess(trace, clearance_db=clearance_db, jitter_sigma=jitter_sigma)
     return VarianceLevels.from_db(guess.s_min_db, guess.s_max_db)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from sqzlab import load_trace, min_max_levels
+from sqzlab import fit_trace, load_trace, min_max_levels
 from sqzlab.cli import main
 
 ALPHA, RHO, X, OMEGA = 0.819819, 0.8525149190110828, 0.5656277572369306, 0.10720434894893513
@@ -233,3 +233,29 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-m", "sqzlab.cli", "predict"],
                               capture_output=True, text=True)
         assert proc.returncode == 1
+
+
+class TestFitFormat:
+    def test_csv_format_is_a_usage_error(self, capsys, config_path, tmp_path):
+        trace_path = tmp_path / "trace.csv"
+        run_cli(capsys, "synth", "--config", str(config_path), "--seed", "4", "--out", str(trace_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--trace", str(trace_path), "--config", str(config_path),
+                  "--format", "csv"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert "invalid choice: 'csv'" in captured.err
+        assert captured.out == ""
+
+    def test_fit_matches_the_default_library_fit(self, capsys, config_path, tmp_path):
+        # the bundled config records 0.12 rad of LO jitter; both paths must use it
+        trace_path = tmp_path / "trace.csv"
+        run_cli(capsys, "synth", "--config", str(config_path), "--seed", "42", "--out", str(trace_path))
+        code, out, _ = run_cli(capsys, "fit", "--trace", str(trace_path),
+                               "--config", str(config_path), "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        default = fit_trace(load_trace(trace_path))
+        assert default.levels.s_min_db == report["s_min_db"]
+        assert default.levels.s_max_db == report["s_max_db"]
+        assert default.s_min_sigma_db == report["s_min_sigma_db"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from sqzlab import (
     DetectionChain,
     FitModel,
     FitOptions,
+    NoiseTrace,
     ParameterDomainError,
     PhaseScan,
     extrema_levels,
@@ -191,3 +193,103 @@ class TestStartModelDomain:
         guess = replace(_perturbed_guess(), theta0=math.nan)
         with pytest.raises(ParameterDomainError, match="non-finite"):
             fit_trace(trace, guess)
+
+
+def _acq_k20(jitter=0.0):
+    """Bundled RBW with VBW 10 kHz: estimator dof k = 20."""
+    return replace(_acq(jitter=jitter), video_bandwidth=1e4)
+
+
+def _mean_trace(sigma, theta0, sweep):
+    """Noise-free trace of the jitter-averaged mean power at the TRUTH levels."""
+    acq = _acq(sweep=sweep, jitter=sigma)
+    a, b = 0.5 * (TRUTH.s_max + TRUTH.s_min), 0.5 * (TRUTH.s_max - TRUTH.s_min)
+    s = a + b * math.exp(-2.0 * sigma * sigma) * np.cos(2.0 * (theta0 + acq.lo_scan.rate * acq.times))
+    floor = 10.0 ** (-CLEARANCE / 10.0)
+    return NoiseTrace(acq.times, 10.0 * np.log10((s + floor) / (1.0 + floor)), acq)
+
+
+class TestClosedFormGuess:
+    @pytest.mark.parametrize("sweep", [0.2, 0.05])  # one scan period, a quarter period
+    @pytest.mark.parametrize("theta0", [0.0, 0.4, 1.3, 2.9])
+    @pytest.mark.parametrize("sigma", [0.0, 0.12, 0.5])
+    def test_noise_free_mean_recovered_exactly(self, sigma, theta0, sweep):
+        guess = initial_guess(_mean_trace(sigma, theta0, sweep), clearance_db=CLEARANCE,
+                              jitter_sigma=sigma)
+        assert guess.s_min_db == pytest.approx(TRUTH.s_min_db, abs=1e-9)
+        assert guess.s_max_db == pytest.approx(TRUTH.s_max_db, abs=1e-9)
+        wrapped = (guess.theta0 - theta0) % math.pi
+        assert min(wrapped, math.pi - wrapped) < 1e-9
+        assert 0.0 <= guess.theta0 < math.pi
+
+    def test_overstated_jitter_starts_s_min_at_a_fraction_of_the_mean(self):
+        # the jitter-free mean curve read as sigma = 1 implies B > A: s_min is clamped
+        guess = initial_guess(_mean_trace(0.0, 0.4, 0.2), clearance_db=CLEARANCE,
+                              jitter_sigma=1.0)
+        a = 0.5 * (TRUTH.s_max + TRUTH.s_min)
+        assert guess.s_min_db == pytest.approx(10.0 * math.log10(0.01 * a), abs=1e-9)
+        assert guess.s_max_db > TRUTH.s_max_db
+
+    @pytest.mark.parametrize("jitter, acq", [(0.12, _acq(jitter=0.12)), (0.0, _acq_k20()),
+                                             (0.12, _acq_k20(jitter=0.12))])
+    def test_auto_guess_reaches_the_perturbed_optimum(self, jitter, acq):
+        for seed in (350, 351, 352):
+            trace = synthesize_trace(ALPHA, RHO, X, OMEGA, _chain(), acq, seed)
+            from_perturbed = fit_trace(trace, _perturbed_guess(jitter=jitter))
+            from_auto = fit_trace(trace, initial_guess(trace, clearance_db=CLEARANCE,
+                                                       jitter_sigma=jitter))
+            assert from_auto.converged and from_perturbed.converged
+            assert from_auto.levels.s_min_db == pytest.approx(from_perturbed.levels.s_min_db, abs=1e-6)
+            assert from_auto.levels.s_max_db == pytest.approx(from_perturbed.levels.s_max_db, abs=1e-6)
+
+    @pytest.mark.parametrize("jitter", [0.05, 0.12])
+    def test_strong_pump_k20_fits_without_runtime_warnings(self, jitter):
+        # with a -40 dB s_min start, seeds 16 and 43 at sigma = 0.12 overflowed in LM trials
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for seed in range(50):
+                trace = synthesize_trace(ALPHA, RHO, 0.7, OMEGA, _chain(), _acq_k20(jitter), seed)
+                result = fit_trace(trace, initial_guess(trace, clearance_db=CLEARANCE,
+                                                        jitter_sigma=jitter))
+                assert result.converged
+
+    @pytest.mark.parametrize("trace, jitter", [
+        (_synth(seed=360, x=0.0), 0.0),                      # flat shot-noise trace
+        (_synth(seed=361, jitter=1.0), 1.0),                 # strong jitter
+        (NoiseTrace(_acq().times, np.full(401, -30.0), _acq()), 0.0),  # below the floor
+    ])
+    def test_degenerate_traces_give_finite_guesses(self, trace, jitter):
+        guess = initial_guess(trace, clearance_db=CLEARANCE, jitter_sigma=jitter)
+        levels = [guess.s_min_db, guess.s_max_db, guess.theta0]
+        assert np.all(np.isfinite(levels))
+        assert guess.s_min_db <= guess.s_max_db
+        assert 0.0 <= guess.theta0 < math.pi
+
+    def test_extrema_levels_use_the_regression(self):
+        trace = _synth(seed=362, jitter=0.12)
+        guess = initial_guess(trace, clearance_db=CLEARANCE, jitter_sigma=0.12)
+        levels = extrema_levels(trace, clearance_db=CLEARANCE, jitter_sigma=0.12)
+        assert (levels.s_min_db, levels.s_max_db) == (guess.s_min_db, guess.s_max_db)
+
+
+class TestDefaultGuess:
+    def test_default_fit_uses_the_recorded_jitter(self):
+        trace = _synth(seed=370, jitter=0.12)
+        default = fit_trace(trace)
+        aware = fit_trace(trace, initial_guess(trace, clearance_db=CLEARANCE, omega_norm=OMEGA,
+                                               jitter_sigma=0.12))
+        assert default.model.jitter_sigma == 0.12
+        assert default.levels.s_min_db == aware.levels.s_min_db
+        assert default.levels.s_max_db == aware.levels.s_max_db
+
+
+class TestStationarityCheck:
+    def test_no_descent_from_a_non_stationary_start_is_not_convergence(self):
+        trace = _synth(seed=301)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = fit_trace(trace, _perturbed_guess(), FitOptions(lambda0=1e300))
+        assert not result.converged
+        assert result.iterations == 1
+        assert len(result.objective_history) == 1  # no step accepted: still at the start
+        assert result.objective_history[0] > 1e3
