@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("text", "json", "csv")):
+    def add_common(p, formats=("text", "json")):
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--frequency-hz", type=float, default=1e6, dest="frequency_hz",
@@ -294,14 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("fit", help="fit a noise trace")
-    add_common(p, formats=("text", "json"))
+    add_common(p)
     p.add_argument("--trace", required=True, help="trace file to fit")
     p.add_argument("--report", choices=("text", "json"), dest="format",
                    default=argparse.SUPPRESS, help="alias for --format")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("sweep", help="pump sweep table")
-    add_common(p)
+    add_common(p, formats=("text", "json", "csv"))
     p.add_argument("--gains", help="comma-separated parametric gains")
     p.add_argument("--powers", help="comma-separated pump powers with units, e.g. 40mW,61mW")
     p.add_argument("--measured", help="CSV of measured rows: power_mw,s_min_db,s_max_db")

@@ -175,7 +175,7 @@ def remove_circuit_noise(observed_db, clearance_db: float):
 
 
 def jitter_averaged_variance(theta0: float, sigma: float, alpha: float, rho: float,
-                             x: float, omega_norm: float, nodes: int | None = None) -> float:
+                             x: float, omega_norm: float) -> float:
     """Expected variance E[S(theta0 + d)] over LO phase jitter d ~ N(0, sigma^2).
 
     S(theta) = A + B*cos(2*theta) holds exactly, with A and B the mean and
@@ -183,9 +183,6 @@ def jitter_averaged_variance(theta0: float, sigma: float, alpha: float, rho: flo
     exp(-2*sigma^2)*cos(2*theta0), so the average is the closed form
     A + B*exp(-2*sigma^2)*cos(2*theta0), exact at every sigma.  sigma = 0
     returns the jitter-free variance S(theta0) exactly.
-
-    ``nodes`` is unused (the closed form needs no quadrature); it stays in
-    the signature so that existing callers keep working.
     """
     if not sigma >= 0.0:
         raise ParameterDomainError(f"jitter sigma must be >= 0, got {sigma}")

@@ -13,14 +13,19 @@ in dB space, where the analyzer's estimator scatter is close to
 homoscedastic.
 
 When the acquisition is known to carry LO phase jitter of RMS sigma, the
-model mean is the Gauss-Hermite average of the dB curve over the jitter
-distribution, which keeps the fitted levels unbiased estimates of the
-underlying jitter-free levels.  The dB map is nonlinear, so unlike the
-linear variance (see detection.jitter_averaged_variance) this average has
-no closed form and this module owns the quadrature rule.  A free jitter
-width would be structurally non-identifiable here: averaging only shrinks B
-by exp(-2*sigma^2), which a rescaled (s_min, s_max) pair reproduces
-exactly, so jitter enters the model as a fixed, known value.
+model mean is the average of the dB curve over the jitter distribution,
+which keeps the fitted levels unbiased estimates of the underlying
+jitter-free levels.  The dB map is nonlinear, but the average is still an
+exact series: with lo, hi the extremal levels plus the floor,
+S + n = c*(1 + r^2 + 2*r*cos 2*theta) for r = (sqrt(hi) - sqrt(lo)) /
+(sqrt(hi) + sqrt(lo)) and c = ((sqrt(hi) + sqrt(lo))/2)^2, so
+ln(S + n) = ln c + 2*sum_m (-1)^(m+1) r^m cos(2*m*theta)/m (Gradshteyn &
+Ryzhik 1.514), and Gaussian jitter multiplies term m by exp(-2*m^2*sigma^2).
+The series is summed until the dropped terms fall below _SERIES_TOL.  A free
+jitter width would be structurally non-identifiable here: averaging the
+variance only shrinks B by exp(-2*sigma^2), which a rescaled
+(s_min, s_max) pair reproduces exactly, so jitter enters the model as a
+fixed, known value.
 
 The start needs no search: in linear power the mean trace is linear in
 (A, B*cos 2*theta0, B*sin 2*theta0) at the known scan rate (the separable
@@ -31,38 +36,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .detection import NoiseTrace
 from .opo import ParameterDomainError, VarianceLevels
-
-DEFAULT_GH_NODES = 21
 
 _LN10_OVER_10 = math.log(10.0) / 10.0
 _N_FREE = 4
 _MIN_START_FRACTION = 0.01  # s_min start floor, fraction of the mean level A
 _GRADIENT_COSINE_TOL = 1e-6  # MINPACK max|J_i.r|/(|J_i||r|) at a stationary point
-
-
-@lru_cache(maxsize=32)
-def _gh_nodes(n: int):
-    """Gauss-Hermite rule with n nodes, weights divided by sqrt(pi) so that
-    sum(w * f(u)) approximates E[f(U)] for U ~ N(0, 1/2).  The arrays are
-    shared between callers and therefore read-only."""
-    if n < 1:
-        raise ParameterDomainError(f"Gauss-Hermite node count must be >= 1, got {n}")
-    with np.errstate(all="ignore"):
-        nodes, weights = hermgauss(n)
-    if not np.all(np.isfinite(weights)):
-        raise ParameterDomainError(
-            f"Gauss-Hermite rule with {n} nodes is not representable in floating point")
-    weights = weights / math.sqrt(math.pi)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+_SERIES_TOL = 1e-16  # largest dropped term of the jitter series, natural-log units
+_MAX_TERMS = 1 << 16  # binds only below sigma ~ 6.5e-5 rad with levels > 70 dB apart
 
 
 @dataclass(frozen=True)
@@ -75,8 +60,8 @@ class FitModel:
     omega_norm          detuning parameter, fixed (kept for back-mapping to
                         pump parameter, not used by the trace model itself)
     clearance_db        circuit-noise clearance, fixed
-    jitter_sigma        known RMS LO phase jitter, fixed (0 = no averaging)
-    gh_nodes            Gauss-Hermite nodes for the jitter average
+    jitter_sigma        known RMS LO phase jitter, fixed (0 = no averaging;
+                        otherwise the model is the exact jitter average)
     """
 
     s_min_db: float
@@ -86,7 +71,6 @@ class FitModel:
     omega_norm: float = 0.0
     clearance_db: float = 14.0
     jitter_sigma: float = 0.0
-    gh_nodes: int = DEFAULT_GH_NODES
 
 
 @dataclass(frozen=True)
@@ -112,45 +96,58 @@ class FitResult:
     objective_history: np.ndarray   # SSR after each accepted step
 
 
-def _model_db(p: np.ndarray, t: np.ndarray, floor: float, jitter: float, nodes: int) -> np.ndarray:
+def _model_and_jacobian(p: np.ndarray, t: np.ndarray, floor: float, jitter: float):
+    """Model trace in dB and its Jacobian over p at the sample times t."""
     s_min, s_max = 10.0 ** (p[0] / 10.0), 10.0 ** (p[1] / 10.0)
-    a, b = 0.5 * (s_max + s_min), 0.5 * (s_max - s_min)
     theta = p[2] + p[3] * t
-    if jitter > 0.0:
-        u, w = _gh_nodes(nodes)
-        s = a + b * np.cos(2.0 * (theta[:, None] + math.sqrt(2.0) * jitter * u[None, :]))
-        return (10.0 * np.log10((s + floor) / (1.0 + floor))) @ w
-    s = a + b * np.cos(2.0 * theta)
-    return 10.0 * np.log10((s + floor) / (1.0 + floor))
-
-
-def _jacobian(p: np.ndarray, t: np.ndarray, floor: float, jitter: float, nodes: int) -> np.ndarray:
-    s_min, s_max = 10.0 ** (p[0] / 10.0), 10.0 ** (p[1] / 10.0)
-    a, b = 0.5 * (s_max + s_min), 0.5 * (s_max - s_min)
-    theta = p[2] + p[3] * t
-    if jitter > 0.0:
-        u, w = _gh_nodes(nodes)
-        ph = 2.0 * (theta[:, None] + math.sqrt(2.0) * jitter * u[None, :])
-    else:
-        ph = 2.0 * theta[:, None]
-        w = np.ones(1)
-    c = np.cos(ph)
-    inv = 1.0 / (a + b * c + floor)
     jac = np.empty((t.size, _N_FREE))
-    jac[:, 0] = (0.5 * s_min * (1.0 - c) * inv) @ w
-    jac[:, 1] = (0.5 * s_max * (1.0 + c) * inv) @ w
-    jac[:, 2] = (-2.0 * b * np.sin(ph) * inv) @ w / _LN10_OVER_10
+    if jitter > 0.0:
+        sl, sh = math.sqrt(s_min + floor), math.sqrt(s_max + floor)
+        u = 1.0 / (sh + sl)
+        r = (sh - sl) * u
+        # terms until r^m * exp(-2 m^2 sigma^2) < tol: the positive root of
+        # beta*m + 2*sigma^2*m^2 = ln(1/tol); non-finite levels need one term
+        beta = -math.log(abs(r)) if r else math.inf
+        ln_tol = -math.log(_SERIES_TOL)
+        root = 2.0 * ln_tol / (beta + math.sqrt(beta * beta + 8.0 * jitter * jitter * ln_tol))
+        terms = min(max(math.ceil(root), 1), _MAX_TERMS) if math.isfinite(root) else 1
+        k = 1 + math.isqrt(terms - 1)
+        m = np.arange(1, k * k + 1)
+        coef = (-r) ** (m - 1) * np.exp(-2.0 * jitter * jitter * m * m)
+        # h = (sum coef z^m / m, sum coef z^m) over z = exp(2i*theta): k blocks
+        # of k powers each, summed by Horner in w = z^k (baby-step giant-step)
+        powers = np.cumprod(np.broadcast_to(np.exp(2j * theta), (k, t.size)), axis=0)
+        blocks = (np.stack((coef / m, coef)).reshape(2 * k, k) @ powers).reshape(2, k, t.size)
+        h = blocks[:, -1]
+        for i in range(k - 2, -1, -1):
+            h = h * powers[-1] + blocks[:, i]
+        ln_c = 2.0 * math.log(0.5 * (sh + sl)) - math.log1p(floor)
+        model = (ln_c + 2.0 * r * h[0].real) / _LN10_OVER_10
+        d_r = 2.0 * h[1].real  # d ln(S + n) / d r
+        jac[:, 0] = s_min * u / sl * (1.0 - sh * u * d_r)
+        jac[:, 1] = s_max * u / sh * (1.0 + sl * u * d_r)
+        jac[:, 2] = -4.0 * r * h[1].imag / _LN10_OVER_10
+    else:
+        b = 0.5 * (s_max - s_min)
+        c = np.cos(2.0 * theta)
+        s = 0.5 * (s_max + s_min) + b * c + floor
+        model = 10.0 * np.log10(s / (1.0 + floor))
+        jac[:, 0] = 0.5 * s_min * (1.0 - c) / s
+        jac[:, 1] = 0.5 * s_max * (1.0 + c) / s
+        jac[:, 2] = -2.0 * b * np.sin(2.0 * theta) / s / _LN10_OVER_10
     jac[:, 3] = jac[:, 2] * t
-    return jac
+    return model, jac
 
 
-def _lm_minimize(p0, t, y, floor, jitter, nodes, opts: FitOptions):
+def _lm_minimize(p0, t, y, floor, jitter, opts: FitOptions):
     """Damped Gauss-Newton (Levenberg-Marquardt); SSR never increases across
-    accepted steps.  Returns (p, ssr, history, iterations, converged)."""
+    accepted steps.  Returns (p, jac, ssr, history, iterations, converged)
+    with jac the Jacobian at p."""
     p = np.asarray(p0, dtype=float).copy()
     lam = opts.lambda0
     with np.errstate(all="ignore"):
-        r = _model_db(p, t, floor, jitter, nodes) - y
+        model, jac = _model_and_jacobian(p, t, floor, jitter)
+        r = model - y
     if not np.all(np.isfinite(r)):
         raise ParameterDomainError("start model gives non-finite residuals; check its levels and phase")
     ssr = float(r @ r)
@@ -158,7 +155,6 @@ def _lm_minimize(p0, t, y, floor, jitter, nodes, opts: FitOptions):
     converged = False
     it = 0
     for it in range(1, opts.max_iterations + 1):
-        jac = _jacobian(p, t, floor, jitter, nodes)
         grad = jac.T @ r
         hess = jac.T @ jac
         diag = np.diag(np.maximum(np.diag(hess), 1e-14))
@@ -173,7 +169,8 @@ def _lm_minimize(p0, t, y, floor, jitter, nodes, opts: FitOptions):
                 except np.linalg.LinAlgError:
                     step = np.linalg.lstsq(damped, -grad, rcond=None)[0]
                 p_new = p + step
-                r_new = _model_db(p_new, t, floor, jitter, nodes) - y
+                model, jac_new = _model_and_jacobian(p_new, t, floor, jitter)
+                r_new = model - y
                 ssr_new = float(r_new @ r_new)
             if math.isfinite(ssr_new) and ssr_new < ssr:
                 accepted = True
@@ -185,13 +182,13 @@ def _lm_minimize(p0, t, y, floor, jitter, nodes, opts: FitOptions):
             converged = bool(np.max(cosine) <= _GRADIENT_COSINE_TOL)
             break
         rel_drop = (ssr - ssr_new) / max(ssr, 1e-300)
-        p, r, ssr = p_new, r_new, ssr_new
+        p, r, ssr, jac = p_new, r_new, ssr_new, jac_new
         history.append(ssr)
         lam = max(lam / 3.0, 1e-14)
         if rel_drop < opts.ftol or float(np.max(np.abs(step))) < opts.xtol:
             converged = True
             break
-    return p, ssr, np.asarray(history), it, converged
+    return p, jac, ssr, np.asarray(history), it, converged
 
 
 def _normalize(p: np.ndarray, cov: np.ndarray):
@@ -213,8 +210,7 @@ def _normalize(p: np.ndarray, cov: np.ndarray):
 
 
 def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.0,
-                  jitter_sigma: float = 0.0, scan_rate: float | None = None,
-                  gh_nodes: int = DEFAULT_GH_NODES) -> FitModel:
+                  jitter_sigma: float = 0.0, scan_rate: float | None = None) -> FitModel:
     """Closed-form start: regress the linear powers 10^(y/10)*(1+n) - n, which
     are mean-unbiased (the estimator factor has mean 1), on [1, cos, sin] of
     2*rate*t; their mean is A + B*exp(-2*sigma^2)*cos(2*theta0 + 2*rate*t).
@@ -232,7 +228,7 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     return FitModel(s_min_db=10.0 * math.log10(lo), s_max_db=10.0 * math.log10(hi),
                     theta0=0.5 * math.atan2(-bs, bc) % math.pi, scan_rate=rate,
                     omega_norm=omega_norm, clearance_db=clearance_db,
-                    jitter_sigma=jitter_sigma, gh_nodes=gh_nodes)
+                    jitter_sigma=jitter_sigma)
 
 
 def fit_trace(trace: NoiseTrace, model: FitModel | None = None,
@@ -241,12 +237,13 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None,
 
     ``model`` supplies the initial guess and the fixed context (clearance,
     detuning, known jitter); if omitted, initial_guess builds it from the
-    trace and its recorded jitter.  Non-convergence (the iteration cap, or no
-    descending step from a non-stationary point) returns the best-so-far
-    values with ``converged=False``.  A trace without usable phase modulation is
-    flagged ``phase_identifiable=False`` and the phase uncertainty is
-    reported as the full model period (pi).  A start model whose curve is
-    not finite (e.g. an overflowing level) raises ParameterDomainError.
+    trace and its recorded clearance, detuning and jitter.  Non-convergence
+    (the iteration cap, or no descending step from a non-stationary point)
+    returns the best-so-far values with ``converged=False``.  A trace without
+    usable phase modulation is flagged ``phase_identifiable=False`` and the
+    phase uncertainty is reported as the full model period (pi).  A start
+    model whose curve is not finite (e.g. an overflowing level) raises
+    ParameterDomainError.
     """
     if len(trace) < 10 * _N_FREE:
         raise ParameterDomainError(
@@ -254,14 +251,13 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None,
     opts = options or FitOptions()
     if model is None:
         model = initial_guess(trace, clearance_db=trace.metadata.get("clearance_db", 14.0),
+                              omega_norm=trace.metadata.get("omega_norm", 0.0),
                               jitter_sigma=trace.acquisition.lo_scan.jitter_sigma)
     floor = 10.0 ** (-model.clearance_db / 10.0)
     t, y = trace.times, trace.powers_db
     p0 = np.array([model.s_min_db, model.s_max_db, model.theta0, model.scan_rate])
-    p, ssr, history, iterations, converged = _lm_minimize(
-        p0, t, y, floor, model.jitter_sigma, model.gh_nodes, opts)
-
-    jac = _jacobian(p, t, floor, model.jitter_sigma, model.gh_nodes)
+    p, jac, ssr, history, iterations, converged = _lm_minimize(
+        p0, t, y, floor, model.jitter_sigma, opts)
     sv = np.linalg.svd(jac, compute_uv=False)
     full_rank = sv[-1] > 1e-8 * sv[0]
     dof = max(len(trace) - _N_FREE, 1)

@@ -235,6 +235,21 @@ class TestEntryPoint:
         assert proc.returncode == 1
 
 
+class TestFormatChoices:
+    @pytest.mark.parametrize("command, extra", [
+        ("predict", []),
+        ("reconcile", ["--measured=-2.75,7.00"]),
+        ("synth", ["--seed", "4", "--out", "unused.csv"]),
+    ])
+    def test_csv_is_a_usage_error_outside_sweep(self, capsys, config_path, command, extra):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config_path), *extra, "--format", "csv"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert "invalid choice: 'csv'" in captured.err
+        assert captured.out == ""
+
+
 class TestFitFormat:
     def test_csv_format_is_a_usage_error(self, capsys, config_path, tmp_path):
         trace_path = tmp_path / "trace.csv"

@@ -123,7 +123,7 @@ class TestJitterAveraging:
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_default_node_count_suffices_below_half_radian(self):
-        got = jitter_averaged_variance(0.9, 0.5, ALPHA, RHO, X, OMEGA, nodes=21)
+        got = jitter_averaged_variance(0.9, 0.5, ALPHA, RHO, X, OMEGA)
         want = _analytic_jitter(0.9, 0.5, ALPHA, RHO, X, OMEGA)
         assert got == pytest.approx(want, rel=1e-9)
 

@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
-from scipy.special import roots_hermite
 
 from sqzlab import (
     AcquisitionSettings,
@@ -18,10 +17,12 @@ from sqzlab import (
     extrema_levels,
     fit_trace,
     initial_guess,
+    load_config,
     min_max_levels,
+    operating_point,
     synthesize_trace,
 )
-from sqzlab.fitting import _gh_nodes, _model_db
+from sqzlab.fitting import _model_and_jacobian
 
 ALPHA, RHO, X, OMEGA = 0.819819, 0.8525149190110828, 0.5656277572369306, 0.10720434894893513
 CLEARANCE = 14.0
@@ -122,7 +123,7 @@ class TestFitMechanics:
         floor = 10.0 ** (-CLEARANCE / 10.0)
 
         def residual(p):
-            return _model_db(p, trace.times, floor, 0.0, 21) - trace.powers_db
+            return _model_and_jacobian(p, trace.times, floor, 0.0)[0] - trace.powers_db
 
         p0 = np.array([guess.s_min_db, guess.s_max_db, guess.theta0, guess.scan_rate])
         ref = least_squares(residual, p0, method="lm", xtol=1e-14, ftol=1e-14)
@@ -160,31 +161,92 @@ class TestExtremaCrossCheck:
         assert levels.s_max_db == pytest.approx(TRUTH.s_max_db, abs=0.5)
 
 
-class TestGaussHermiteRule:
-    @pytest.mark.parametrize("n", [1, 2, 21, 61, 200])
-    def test_matches_scipy_roots_hermite(self, n):
-        nodes, weights = _gh_nodes(n)
-        ref_nodes, ref_weights = roots_hermite(n)
-        np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=1e-13)
-        np.testing.assert_allclose(weights, ref_weights / math.sqrt(math.pi), rtol=0.0, atol=1e-13)
+def _trapezoid_jitter_average(p, t, floor, sigma, points=20001):
+    """Brute-force oracle: the dB curve averaged over N(0, sigma^2) phase
+    offsets by the trapezoid rule on [-12 sigma, 12 sigma]."""
+    lo, hi = 10.0 ** (p[0] / 10.0), 10.0 ** (p[1] / 10.0)
+    d = np.linspace(-12.0 * sigma, 12.0 * sigma, points)
+    w = np.exp(-0.5 * (d / sigma) ** 2)
+    w[[0, -1]] *= 0.5
+    s = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(2.0 * (p[2] + p[3] * t[:, None] + d))
+    return 10.0 * np.log10((s + floor) / (1.0 + floor)) @ (w / w.sum())
 
-    # numpy's hermgauss weights overflow from about 380 nodes
-    @pytest.mark.parametrize("n", [0, -3, 400])
-    def test_unusable_node_count_rejected(self, n):
-        with pytest.raises(ParameterDomainError):
-            _gh_nodes(n)
 
-    def test_zero_nodes_with_jitter_rejected_by_fit(self):
-        trace = _synth(seed=340, jitter=0.05)
-        guess = replace(_perturbed_guess(jitter=0.05), gh_nodes=0)
-        with pytest.raises(ParameterDomainError):
-            fit_trace(trace, guess)
+SERIES_CASES = [  # (s_min_db, s_max_db, clearance_db)
+    (TRUTH.s_min_db, TRUTH.s_max_db, CLEARANCE),   # bundled pair
+    (-10.0, 15.0, 20.0),                           # deep pair at high clearance
+    (TRUTH.s_max_db, TRUTH.s_min_db, CLEARANCE),   # swapped: s_min > s_max
+]
+
+
+class TestExactJitterSeries:
+    @pytest.mark.parametrize("levels", SERIES_CASES)
+    @pytest.mark.parametrize("sigma", [0.01, 0.05, 0.12, 0.5, 1.0, 2.0])
+    def test_matches_a_dense_trapezoid_oracle(self, sigma, levels):
+        lo_db, hi_db, clearance = levels
+        p = np.array([lo_db, hi_db, 0.3, 2 * math.pi / 0.2])
+        t = np.linspace(0.0, 0.2, 61)
+        floor = 10.0 ** (-clearance / 10.0)
+        model, _ = _model_and_jacobian(p, t, floor, sigma)
+        oracle = _trapezoid_jitter_average(p, t, floor, sigma)
+        np.testing.assert_allclose(model, oracle, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("levels", SERIES_CASES + [(-4.0, -4.0, 10.0)])  # last: r = 0
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.5, 2.0])
+    def test_jacobian_matches_central_differences(self, sigma, levels):
+        lo_db, hi_db, clearance = levels
+        p = np.array([lo_db, hi_db, 0.3, 2 * math.pi / 0.2])
+        t = np.linspace(0.0, 0.2, 61)
+        floor = 10.0 ** (-clearance / 10.0)
+        _, jac = _model_and_jacobian(p, t, floor, sigma)
+        numeric = np.empty_like(jac)
+        for i in range(4):
+            step = np.zeros(4)
+            step[i] = 1e-6 * max(1.0, abs(p[i]))
+            numeric[:, i] = (_model_and_jacobian(p + step, t, floor, sigma)[0]
+                             - _model_and_jacobian(p - step, t, floor, sigma)[0]) / (2 * step[i])
+        np.testing.assert_allclose(jac, numeric, rtol=0.0, atol=1e-7 * np.abs(numeric).max())
+
+    def test_noise_free_mean_trace_fits_back_to_its_levels(self):
+        # x = 0.7 at 20 dB clearance and sigma = 0.5: a deep dip under strong
+        # jitter, where any error in the average biases the levels without noise
+        truth = min_max_levels(ALPHA, RHO, 0.7, OMEGA)
+        acq = _acq(jitter=0.5)
+        p = np.array([truth.s_min_db, truth.s_max_db, 0.0, acq.lo_scan.rate])
+        mean = _trapezoid_jitter_average(p, acq.times, 0.01, 0.5, points=4001)
+        guess = FitModel(s_min_db=truth.s_min_db + 0.3, s_max_db=truth.s_max_db - 0.3,
+                         theta0=0.05, scan_rate=acq.lo_scan.rate * 1.01,
+                         clearance_db=20.0, jitter_sigma=0.5)
+        result = fit_trace(NoiseTrace(acq.times, mean, acq), guess)
+        assert result.converged
+        assert result.levels.s_min_db == pytest.approx(truth.s_min_db, abs=1e-9)
+        assert result.levels.s_max_db == pytest.approx(truth.s_max_db, abs=1e-9)
+
+    def test_strong_jitter_round_trip_is_unbiased_within_the_quoted_sigma(self):
+        truth = min_max_levels(ALPHA, RHO, 0.7, OMEGA)
+        chain = DetectionChain(0.99, 0.91, 1.0, 20.0)
+        errors, sigmas = [], []
+        for seed in range(20):
+            trace = synthesize_trace(ALPHA, RHO, 0.7, OMEGA, chain, _acq(jitter=0.5), seed)
+            result = fit_trace(trace, initial_guess(trace, clearance_db=20.0, jitter_sigma=0.5))
+            assert result.converged
+            errors.append((result.levels.s_min_db - truth.s_min_db,
+                           result.levels.s_max_db - truth.s_max_db))
+            sigmas.append((result.s_min_sigma_db, result.s_max_sigma_db))
+        assert np.all(np.abs(np.mean(errors, axis=0)) < np.mean(sigmas, axis=0))
 
 
 class TestStartModelDomain:
     def test_overflowing_start_level_rejected(self):
         trace = _synth(seed=341)
         guess = replace(_perturbed_guess(), s_max_db=4000.0)
+        with pytest.raises(ParameterDomainError, match="non-finite"):
+            fit_trace(trace, guess)
+
+    def test_overflowing_start_level_with_jitter_rejected(self):
+        # the series sees r = NaN here; it must not fail before the residual check
+        trace = _synth(seed=343, jitter=0.05)
+        guess = replace(_perturbed_guess(jitter=0.05), s_max_db=4000.0)
         with pytest.raises(ParameterDomainError, match="non-finite"):
             fit_trace(trace, guess)
 
@@ -273,6 +335,13 @@ class TestClosedFormGuess:
 
 
 class TestDefaultGuess:
+    def test_default_fit_records_the_trace_detuning(self, config_path):
+        cfg = load_config(config_path)
+        point = operating_point(cfg.cavity, cfg.detection, cfg.pump,
+                                cfg.acquisition.center_frequency)
+        trace = synthesize_trace(*point, cfg.detection, cfg.acquisition, 42)
+        assert fit_trace(trace).model.omega_norm == pytest.approx(0.1072, abs=5e-5)
+
     def test_default_fit_uses_the_recorded_jitter(self):
         trace = _synth(seed=370, jitter=0.12)
         default = fit_trace(trace)
