@@ -28,7 +28,6 @@ from .opo import (
     PumpSpec,
     VarianceLevels,
     cavity_decay_rate,
-    spectral_point,
     threshold_power,
 )
 from .traceio import TraceFormatError
@@ -57,18 +56,23 @@ def _require_acquisition(cfg):
     return cfg.acquisition
 
 
+def _finite(text: str, noun: str, context: str, where: str = "") -> float:
+    """float(text), or a ConfigError "{where}non-numeric {noun}{context}" or
+    "{where}{noun} must be finite, got ...{context}"."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{where}non-numeric {noun}{context}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}{noun} must be finite, got {value}{context}")
+    return value
+
+
 def _parse_level_pair(text: str) -> VarianceLevels:
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError(f"expected 'smin_db,smax_db', got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError(f"non-numeric level in {text!r}") from None
-    for value in (lo, hi):
-        if not math.isfinite(value):
-            raise ConfigError(f"level must be finite, got {value} in {text!r}")
-    return VarianceLevels.from_db(lo, hi)
+    return VarianceLevels.from_db(*(_finite(part, "level", f" in {text!r}") for part in parts))
 
 
 def _cmd_predict(args) -> int:
@@ -130,12 +134,8 @@ def _cmd_synth(args) -> int:
 def _cmd_fit(args) -> int:
     cfg = load_config(args.config)
     trace = traceio.load_trace(args.trace)
-    frequency = trace.acquisition.center_frequency
-    omega_norm = spectral_point(cfg.cavity, frequency).detuning_parameter
-    clearance = cfg.detection.circuit_noise_clearance_db
-    jitter = trace.acquisition.lo_scan.jitter_sigma
-    guess = fitting.initial_guess(trace, clearance_db=clearance, omega_norm=omega_norm,
-                                  jitter_sigma=jitter)
+    guess = fitting.initial_guess(trace, clearance_db=cfg.detection.circuit_noise_clearance_db,
+                                  jitter_sigma=trace.acquisition.lo_scan.jitter_sigma)
     result = fitting.fit_trace(trace, guess)
     if args.format == "json":
         payload = {
@@ -175,10 +175,8 @@ def _load_measured_csv(path):
             parts = line.split(",")
             if len(parts) != 3:
                 raise ConfigError(f"{path}:{lineno}: expected 'power_mw,s_min_db,s_max_db'")
-            try:
-                power_mw, lo, hi = (float(p) for p in parts)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
+            power_mw, lo, hi = (_finite(p, "field", f" in {line!r}", f"{path}:{lineno}: ")
+                                for p in parts)
             rows.append((power_mw * 1e-3, VarianceLevels.from_db(lo, hi)))
     return rows
 
@@ -187,43 +185,32 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if bool(args.gains) == bool(args.powers):
         raise ConfigError("provide exactly one of --gains or --powers")
-    pumps = []
     if args.gains:
-        for item in args.gains.split(","):
-            try:
-                gain = float(item)
-            except ValueError:
-                raise ConfigError(f"non-numeric gain {item!r} in --gains") from None
-            pumps.append(PumpSpec(parametric_gain=gain))
+        pumps = [PumpSpec(parametric_gain=_finite(item, f"gain {item!r}", " in --gains"))
+                 for item in args.gains.split(",")]
     else:
-        for item in args.powers.split(","):
-            watts = parse_quantity(item.strip(), "power", "power", 0)
-            pumps.append(PumpSpec(pump_power=watts))
+        pumps = [PumpSpec(pump_power=parse_quantity(item.strip(), "power", "power", 0))
+                 for item in args.powers.split(",")]
     frequency = cfg.acquisition.center_frequency if cfg.acquisition else args.frequency_hz
     measured = _load_measured_csv(args.measured) if args.measured else None
     rows = analysis.sweep_pump(cfg.cavity, cfg.detection, pumps, frequency, measured)
-    records = []
-    for r in rows:
-        records.append({
-            "power_mw": r.pump_power * 1e3,
-            "gain": r.parametric_gain,
-            "x": r.pump_parameter,
-            "s_min_db": r.predicted.s_min_db if r.predicted else None,
-            "s_max_db": r.predicted.s_max_db if r.predicted else None,
-            "measured_s_min_db": r.measured.s_min_db if r.measured else None,
-            "measured_s_max_db": r.measured.s_max_db if r.measured else None,
-            "valid": r.valid,
-        })
+    records = [{
+        "power_mw": r.pump_power * 1e3,
+        "gain": r.parametric_gain,
+        "x": r.pump_parameter,
+        "s_min_db": r.predicted.s_min_db if r.predicted else None,
+        "s_max_db": r.predicted.s_max_db if r.predicted else None,
+        "measured_s_min_db": r.measured.s_min_db if r.measured else None,
+        "measured_s_max_db": r.measured.s_max_db if r.measured else None,
+        "valid": r.valid,
+    } for r in rows]
     if args.format == "json":
         print(json.dumps(records, indent=2))
     else:
-        cols = ["power_mw", "gain", "x", "s_min_db", "s_max_db",
-                "measured_s_min_db", "measured_s_max_db", "valid"]
-        print(",".join(cols))
+        print(",".join(records[0]))  # one row per pump, and the pump axis is never empty
         for rec in records:
             cells = []
-            for c in cols:
-                v = rec[c]
+            for v in rec.values():
                 if v is None:
                     cells.append("")
                 elif isinstance(v, bool):

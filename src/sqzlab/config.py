@@ -29,13 +29,19 @@ dimensioned quantity, e.g.::
     theta0 = 0rad
     jitter = 0.12rad
 
-Values convert to strict SI on ingestion.  Parsing is total: any input
-yields either a valid ExperimentConfig or a ConfigError naming the key,
-line and constraint violated.
+Values convert to strict SI on ingestion and must be finite.  Parsing is
+total: any input yields either a valid ExperimentConfig or a ConfigError
+naming the key, line and constraint violated.
+
+The format is stated once, in _SCHEMA (per section its constructor, per key
+its unit kind, constructor field and whether it is required), which
+parse_config and format_config both walk; format_config writes the scale-1.0
+suffix of each unit kind in _UNITS.  Without [scan], one LO period per sweep.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -57,8 +63,9 @@ class ExperimentConfig:
 
 _NUMBER_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*)$")
 
-# per-key unit tables: suffix -> SI scale; None marks a dimensionless key
-_UNITS: dict[str, dict[str, float] | None] = {
+# unit kind -> {suffix: SI scale}; the scale-1.0 suffix is the one format_config
+# writes, and "" is the suffix of the dimensionless kinds
+_UNITS: dict[str, dict[str, float]] = {
     "length": {"mm": 1e-3, "cm": 1e-2, "m": 1.0},
     "inv_watt": {"/W": 1.0},
     "power": {"mW": 1e-3, "W": 1.0, "uW": 1e-6},
@@ -66,57 +73,52 @@ _UNITS: dict[str, dict[str, float] | None] = {
     "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9},
     "time": {"ms": 1e-3, "s": 1.0},
     "angle": {"rad": 1.0, "mrad": 1e-3},
-    "bare": None,
+    "bare": {"": 1.0},
+    "count": {"": 1.0},
 }
 
-# section -> key -> (unit table, diagnostic field name)
-_SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
-    "cavity": {
-        "l": ("length", "round_trip_length"),
-        "T": ("bare", "coupler_transmittance"),
-        "L": ("bare", "intracavity_loss"),
-        "Enl": ("inv_watt", "nonlinear_efficiency"),
-    },
-    "detection": {
-        "eta": ("bare", "quantum_efficiency"),
-        "xi": ("bare", "visibility"),
-        "prop": ("bare", "propagation_efficiency"),
-        "clearance": ("db", "circuit_noise_clearance_db"),
-    },
-    "pump": {
-        "gain": ("bare", "parametric_gain"),
-        "power": ("power", "pump_power"),
-        "x": ("bare", "pump_parameter"),
-    },
-    "acquisition": {
-        "f": ("frequency", "center_frequency"),
-        "rbw": ("frequency", "resolution_bandwidth"),
-        "vbw": ("frequency", "video_bandwidth"),
-        "sweep": ("time", "sweep_duration"),
-        "samples": ("bare", "sample_count"),
-    },
-    "scan": {
-        "period": ("time", "period"),
-        "theta0": ("angle", "theta0"),
-        "jitter": ("angle", "jitter_sigma"),
-    },
-}
-
-_REQUIRED_KEYS = {
-    "cavity": ("l", "T", "L", "Enl"),
-    "detection": ("eta", "xi", "clearance"),
-    "pump": (),
-    "acquisition": ("f", "rbw", "vbw", "sweep", "samples"),
-    "scan": ("period",),
+# section -> (constructor, key -> (unit kind, constructor field, required)),
+# keys in the order format_config writes them
+_SCHEMA = {
+    "cavity": (CavityParams, {
+        "l": ("length", "round_trip_length", True),
+        "T": ("bare", "coupler_transmittance", True),
+        "L": ("bare", "intracavity_loss", True),
+        "Enl": ("inv_watt", "nonlinear_efficiency", True),
+    }),
+    "detection": (DetectionChain, {
+        "eta": ("bare", "quantum_efficiency", True),
+        "xi": ("bare", "visibility", True),
+        "prop": ("bare", "propagation_efficiency", False),
+        "clearance": ("db", "circuit_noise_clearance_db", True),
+    }),
+    "pump": (PumpSpec, {
+        "gain": ("bare", "parametric_gain", False),
+        "power": ("power", "pump_power", False),
+        "x": ("bare", "pump_parameter", False),
+    }),
+    "acquisition": (AcquisitionSettings, {
+        "f": ("frequency", "center_frequency", True),
+        "rbw": ("frequency", "resolution_bandwidth", True),
+        "vbw": ("frequency", "video_bandwidth", True),
+        "sweep": ("time", "sweep_duration", True),
+        "samples": ("count", "sample_count", True),
+    }),
+    "scan": (PhaseScan, {
+        "period": ("time", "period", True),
+        "theta0": ("angle", "theta0", False),
+        "jitter": ("angle", "jitter_sigma", False),
+    }),
 }
 
 
 def parse_quantity(raw: str, unit_kind: str, key: str, lineno: int) -> float:
-    """Parse one number with an optional unit suffix into SI units.
+    """Parse one finite number with an optional unit suffix into SI units.
 
     unit_kind is one of "length", "inv_watt", "power", "db", "frequency",
-    "time", "angle" or "bare" (dimensionless); key and lineno only label the
-    ConfigError raised for a malformed value, e.g.
+    "time", "angle", "bare" (dimensionless) or "count" (dimensionless, an
+    int when integral); key and lineno only label the ConfigError raised
+    for a malformed or non-finite value, e.g.
     parse_quantity("61mW", "power", "power", 0) == 0.061.
     """
     match = _NUMBER_RE.match(raw)
@@ -124,15 +126,18 @@ def parse_quantity(raw: str, unit_kind: str, key: str, lineno: int) -> float:
         raise ConfigError(f"line {lineno}: value of '{key}' is not a number: {raw!r}")
     number, suffix = float(match.group(1)), match.group(2).strip()
     table = _UNITS[unit_kind]
-    if table is None:
-        if suffix:
-            raise ConfigError(f"line {lineno}: '{key}' is dimensionless, unexpected suffix {suffix!r}")
-        return number
     if suffix not in table:
+        if "" in table:
+            raise ConfigError(f"line {lineno}: '{key}' is dimensionless, unexpected suffix {suffix!r}")
         expected = ", ".join(sorted(table))
         raise ConfigError(
             f"line {lineno}: bad unit suffix {suffix!r} for '{key}' (expected one of: {expected})")
-    return number * table[suffix]
+    value = number * table[suffix]
+    if not math.isfinite(value):
+        raise ConfigError(f"line {lineno}: value of '{key}' is not finite: {raw!r}")
+    if unit_kind == "count" and value.is_integer():
+        return int(value)
+    return value
 
 
 def _split_sections(text: str):
@@ -160,7 +165,7 @@ def _split_sections(text: str):
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SCHEMA[current]:
+        if key not in _SCHEMA[current][1]:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in [{current}]")
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: duplicate key '{key}' in [{current}]")
@@ -170,29 +175,32 @@ def _split_sections(text: str):
     return sections, section_lines
 
 
-def _section_values(sections, name: str) -> dict[str, tuple[float, int]]:
-    values: dict[str, tuple[float, int]] = {}
-    for key, (raw, lineno) in sections.get(name, {}).items():
-        unit_kind, _ = _SCHEMA[name][key]
-        values[key] = (parse_quantity(raw, unit_kind, key, lineno), lineno)
-    missing = [k for k in _REQUIRED_KEYS[name] if k not in values]
+def _build(sections, section_lines, name: str, **nested: str):
+    """Construct one section's object from its table in _SCHEMA.
+
+    Parses the section's values onto constructor fields and checks its
+    required keys, then builds each ``nested`` field from the section it
+    names.  A ParameterDomainError moves onto the line of the key whose
+    field it names, else onto the section header line.
+    """
+    constructor, keys = _SCHEMA[name]
+    fields, field_lines = {}, {}
+    for key, (raw, lineno) in sections[name].items():
+        unit_kind, field, _ = keys[key]
+        fields[field] = parse_quantity(raw, unit_kind, key, lineno)
+        field_lines[field] = lineno
+    missing = [key for key, (_, field, required) in keys.items()
+               if required and field not in fields]
     if missing:
         raise ConfigError(f"[{name}] block is missing key(s): {', '.join(missing)}")
-    return values
-
-
-def _build(section: str, constructor, kwargs: dict, key_lines: dict[str, int],
-           section_line: int):
-    """Construct a domain object, relocating domain errors onto config lines."""
+    for field, section in nested.items():
+        fields[field] = _build(sections, section_lines, section)
     try:
-        return constructor(**kwargs)
+        return constructor(**fields)
     except ParameterDomainError as exc:
         message = str(exc)
-        lineno = section_line
-        for key, (_, field) in _SCHEMA[section].items():
-            if message.startswith(field) and key in key_lines:
-                lineno = key_lines[key]
-                break
+        lineno = next((line for field, line in field_lines.items() if message.startswith(field)),
+                      section_lines[name])
         raise ConfigError(f"line {lineno}: {message}") from None
 
 
@@ -202,105 +210,41 @@ def parse_config(text: str) -> ExperimentConfig:
     for name in ("cavity", "detection", "pump"):
         if name not in sections:
             raise ConfigError(f"missing {name} block")
-
-    lines = {name: {k: ln for k, (_, ln) in sections.get(name, {}).items()}
-             for name in _SCHEMA}
-
-    cav = _section_values(sections, "cavity")
-    cavity = _build("cavity", CavityParams, {
-        "round_trip_length": cav["l"][0],
-        "coupler_transmittance": cav["T"][0],
-        "intracavity_loss": cav["L"][0],
-        "nonlinear_efficiency": cav["Enl"][0],
-    }, lines["cavity"], section_lines["cavity"])
-
-    det = _section_values(sections, "detection")
-    det_kwargs = {
-        "quantum_efficiency": det["eta"][0],
-        "visibility": det["xi"][0],
-        "circuit_noise_clearance_db": det["clearance"][0],
-    }
-    if "prop" in det:
-        det_kwargs["propagation_efficiency"] = det["prop"][0]
-    detection = _build("detection", DetectionChain, det_kwargs,
-                       lines["detection"], section_lines["detection"])
-
-    pump_vals = _section_values(sections, "pump")
-    if len(pump_vals) != 1:
+    cavity = _build(sections, section_lines, "cavity")
+    detection = _build(sections, section_lines, "detection")
+    if len(sections["pump"]) != 1:
         raise ConfigError(
             f"line {section_lines['pump']}: [pump] needs exactly one of gain/power/x, "
-            f"got {sorted(pump_vals) or 'none'}")
-    pump_kwargs = {}
-    for key, (value, _) in pump_vals.items():
-        pump_kwargs[{"gain": "parametric_gain", "power": "pump_power", "x": "pump_parameter"}[key]] = value
-    pump = _build("pump", PumpSpec, pump_kwargs, lines["pump"], section_lines["pump"])
-
+            f"got {sorted(sections['pump']) or 'none'}")
+    pump = _build(sections, section_lines, "pump")
     acquisition = None
     if "acquisition" in sections:
-        acq = _section_values(sections, "acquisition")
-        if "scan" in sections:
-            sc = _section_values(sections, "scan")
-            scan = _build("scan", PhaseScan, {
-                "period": sc["period"][0],
-                "theta0": sc.get("theta0", (0.0, 0))[0],
-                "jitter_sigma": sc.get("jitter", (0.0, 0))[0],
-            }, lines["scan"], section_lines["scan"])
-        else:
-            scan = PhaseScan(period=acq["sweep"][0])
-        samples = acq["samples"][0]
-        if samples != int(samples):
-            raise ConfigError(f"line {lines['acquisition']['samples']}: sample_count must be an integer")
-        acquisition = _build("acquisition", AcquisitionSettings, {
-            "center_frequency": acq["f"][0],
-            "resolution_bandwidth": acq["rbw"][0],
-            "video_bandwidth": acq["vbw"][0],
-            "sweep_duration": acq["sweep"][0],
-            "sample_count": int(samples),
-            "lo_scan": scan,
-        }, lines["acquisition"], section_lines["acquisition"])
+        sweep = sections["acquisition"].get("sweep")
+        if "scan" not in sections and sweep:
+            # the default scan has one LO period per sweep; its errors land on the sweep line
+            sections["scan"], section_lines["scan"] = {"period": sweep}, sweep[1]
+        acquisition = _build(sections, section_lines, "acquisition", lo_scan="scan")
     elif "scan" in sections:
         raise ConfigError(f"line {section_lines['scan']}: [scan] requires an [acquisition] block")
-
-    return ExperimentConfig(cavity=cavity, detection=detection, pump=pump,
-                            acquisition=acquisition)
+    return ExperimentConfig(cavity, detection, pump, acquisition)
 
 
 def format_config(config: ExperimentConfig) -> str:
     """Render a config back to text in canonical SI units; parse_config of the
     result reproduces the config value for value."""
-    lines = ["[cavity]"]
-    cav = config.cavity
-    lines += [f"l = {cav.round_trip_length!r}m",
-              f"T = {cav.coupler_transmittance!r}",
-              f"L = {cav.intracavity_loss!r}",
-              f"Enl = {cav.nonlinear_efficiency!r}/W",
-              "", "[detection]"]
-    det = config.detection
-    lines += [f"eta = {det.quantum_efficiency!r}",
-              f"xi = {det.visibility!r}",
-              f"prop = {det.propagation_efficiency!r}",
-              f"clearance = {det.circuit_noise_clearance_db!r}dB",
-              "", "[pump]"]
-    pump = config.pump
-    if pump.kind == "power":
-        lines.append(f"power = {pump.pump_power!r}W")
-    elif pump.kind == "gain":
-        lines.append(f"gain = {pump.parametric_gain!r}")
-    else:
-        lines.append(f"x = {pump.pump_parameter!r}")
+    blocks = [("cavity", config.cavity), ("detection", config.detection), ("pump", config.pump)]
     if config.acquisition is not None:
-        acq = config.acquisition
-        lines += ["", "[acquisition]",
-                  f"f = {acq.center_frequency!r}Hz",
-                  f"rbw = {acq.resolution_bandwidth!r}Hz",
-                  f"vbw = {acq.video_bandwidth!r}Hz",
-                  f"sweep = {acq.sweep_duration!r}s",
-                  f"samples = {acq.sample_count}",
-                  "", "[scan]",
-                  f"period = {acq.lo_scan.period!r}s",
-                  f"theta0 = {acq.lo_scan.theta0!r}rad",
-                  f"jitter = {acq.lo_scan.jitter_sigma!r}rad"]
-    return "\n".join(lines) + "\n"
+        blocks += [("acquisition", config.acquisition), ("scan", config.acquisition.lo_scan)]
+    text = []
+    for name, obj in blocks:
+        lines = [f"[{name}]"]
+        for key, (unit_kind, field, _) in _SCHEMA[name][1].items():
+            value = getattr(obj, field)
+            if value is not None:
+                suffix = next(s for s, scale in _UNITS[unit_kind].items() if scale == 1.0)
+                lines.append(f"{key} = {value!r}{suffix}")
+        text.append("\n".join(lines))
+    return "\n\n".join(text) + "\n"
 
 
 def load_config(path) -> ExperimentConfig:

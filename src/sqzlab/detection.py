@@ -97,6 +97,8 @@ class AcquisitionSettings:
     lo_scan: PhaseScan
 
     def __post_init__(self):
+        if not isinstance(self.sample_count, (int, np.integer)):
+            raise ParameterDomainError("sample_count must be an integer")
         for name in ("center_frequency", "resolution_bandwidth", "video_bandwidth", "sweep_duration"):
             if not getattr(self, name) > 0.0:
                 raise ParameterDomainError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -135,6 +137,8 @@ class NoiseTrace:
             raise ParameterDomainError("times and powers_db must be 1-D arrays of equal length")
         if t.size >= 2 and not np.all(np.diff(t) > 0.0):
             raise ParameterDomainError("sample times must be strictly increasing")
+        if not np.all(np.isfinite(t)):
+            raise ParameterDomainError("sample times must be finite")
         if not np.all(np.isfinite(p)):
             raise ParameterDomainError("power values must be finite")
 

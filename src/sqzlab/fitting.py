@@ -215,7 +215,13 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     are mean-unbiased (the estimator factor has mean 1), on [1, cos, sin] of
     2*rate*t; their mean is A + B*exp(-2*sigma^2)*cos(2*theta0 + 2*rate*t).
     s_min starts no lower than A/100: far below, its Jacobian column vanishes
-    and LM trial steps overflow."""
+    and LM trial steps overflow.  A jitter so wide that exp(-2*sigma^2)
+    underflows to 0 leaves no modulation and raises ParameterDomainError."""
+    contrast = math.exp(-2.0 * jitter_sigma * jitter_sigma)
+    if contrast == 0.0:
+        raise ParameterDomainError(
+            f"jitter_sigma = {jitter_sigma} rad washes out the phase modulation "
+            "(exp(-2*sigma^2) underflows to 0), so the levels cannot be fitted")
     floor = 10.0 ** (-clearance_db / 10.0)
     rate = scan_rate if scan_rate is not None else trace.acquisition.lo_scan.rate
     phase = 2.0 * rate * trace.times
@@ -223,7 +229,7 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     s = 10.0 ** (trace.powers_db / 10.0) * (1.0 + floor) - floor
     (a, bc, bs), *_ = np.linalg.lstsq(design, s, rcond=None)
     a = max(a, floor)
-    b = math.hypot(bc, bs) / math.exp(-2.0 * jitter_sigma * jitter_sigma)
+    b = math.hypot(bc, bs) / contrast
     lo, hi = max(a - b, _MIN_START_FRACTION * a), a + b
     return FitModel(s_min_db=10.0 * math.log10(lo), s_max_db=10.0 * math.log10(hi),
                     theta0=0.5 * math.atan2(-bs, bc) % math.pi, scan_rate=rate,

@@ -5,10 +5,16 @@ key=value pairs, a column-header line, then one "time_s,power_db" row per
 sample.  Numbers are written in positional decimal with enough digits to
 round-trip the underlying float exactly, so parse(serialize(trace))
 reproduces the trace bit for bit.
+
+The header is stated once, in _ACQUISITION_HEADER and _SCAN_HEADER (key ->
+constructor field and type, in file order), which serialize_trace and
+parse_trace both walk; their numbers must be finite.  The shot-noise
+reference level and then the metadata, in key order, follow them.
 """
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -17,6 +23,21 @@ from .detection import AcquisitionSettings, NoiseTrace, PhaseScan
 
 _MAGIC = "# sqzlab-trace v1"
 _COLUMNS = "time_s,power_db"
+_SHOT_REFERENCE = "shot_reference_db"  # optional on reading, default 0 dB
+
+# header key -> (constructor field, type), in file order
+_ACQUISITION_HEADER = {
+    "f_hz": ("center_frequency", float),
+    "rbw_hz": ("resolution_bandwidth", float),
+    "vbw_hz": ("video_bandwidth", float),
+    "sweep_s": ("sweep_duration", float),
+    "samples": ("sample_count", int),
+}
+_SCAN_HEADER = {
+    "scan_period_s": ("period", float),
+    "scan_theta0_rad": ("theta0", float),
+    "scan_jitter_rad": ("jitter_sigma", float),
+}
 
 
 class TraceFormatError(ValueError):
@@ -24,53 +45,46 @@ class TraceFormatError(ValueError):
 
 
 def _fmt(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        text = repr(float(value))
+        return format(Decimal(text), "f") if "e" in text else text
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    text = repr(float(value))
-    if "e" in text or "E" in text:
-        text = format(Decimal(text), "f")
-    return text
+    return str(value)
 
 
 def _parse_value(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _finite(key: str, value):
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    return value
+
+
+def _header_fields(header: dict[str, str], table) -> dict:
+    """Pop one object's header values as its constructor fields."""
+    return {field: _finite(key, kind(header.pop(key))) for key, (field, kind) in table.items()}
 
 
 def serialize_trace(trace: NoiseTrace) -> str:
     acq = trace.acquisition
-    scan = acq.lo_scan
-    lines = [_MAGIC]
-    fields = [
-        ("f_hz", acq.center_frequency),
-        ("rbw_hz", acq.resolution_bandwidth),
-        ("vbw_hz", acq.video_bandwidth),
-        ("sweep_s", acq.sweep_duration),
-        ("samples", acq.sample_count),
-        ("scan_period_s", scan.period),
-        ("scan_theta0_rad", scan.theta0),
-        ("scan_jitter_rad", scan.jitter_sigma),
-        ("shot_reference_db", trace.shot_reference_db),
-    ]
-    for key, value in fields:
-        lines.append(f"# {key}={_fmt(value)}")
-    for key in sorted(trace.metadata):
-        value = trace.metadata[key]
-        lines.append(f"# {key}={_fmt(value) if isinstance(value, (int, float, np.floating, np.integer)) else value}")
-    lines.append(_COLUMNS)
-    for t, p in zip(trace.times, trace.powers_db):
-        lines.append(f"{_fmt(t)},{_fmt(p)}")
+    header = [(key, getattr(acq, field)) for key, (field, _) in _ACQUISITION_HEADER.items()]
+    header += [(key, getattr(acq.lo_scan, field)) for key, (field, _) in _SCAN_HEADER.items()]
+    header += [(_SHOT_REFERENCE, trace.shot_reference_db), *sorted(trace.metadata.items())]
+    lines = [_MAGIC, *(f"# {key}={_fmt(value)}" for key, value in header), _COLUMNS]
+    lines += [f"{_fmt(t)},{_fmt(p)}" for t, p in zip(trace.times.tolist(), trace.powers_db.tolist())]
     return "\n".join(lines) + "\n"
 
 
 def parse_trace(text: str) -> NoiseTrace:
-    header: dict[str, object] = {}
+    header: dict[str, str] = {}
     times: list[float] = []
     powers: list[float] = []
     saw_columns = False
@@ -85,7 +99,7 @@ def parse_trace(text: str) -> NoiseTrace:
                     continue
                 raise TraceFormatError(f"line {lineno}: expected 'key=value' in header comment")
             key, _, value = body.partition("=")
-            header[key.strip()] = _parse_value(value.strip())
+            header[key.strip()] = value.strip()
             continue
         if line == _COLUMNS:
             saw_columns = True
@@ -101,24 +115,17 @@ def parse_trace(text: str) -> NoiseTrace:
     if not saw_columns and not times:
         raise TraceFormatError("line 1: no data rows found")
 
-    required = ("f_hz", "rbw_hz", "vbw_hz", "sweep_s", "samples",
-                "scan_period_s", "scan_theta0_rad", "scan_jitter_rad")
-    missing = [key for key in required if key not in header]
+    missing = [key for table in (_ACQUISITION_HEADER, _SCAN_HEADER) for key in table
+               if key not in header]
     if missing:
         raise TraceFormatError(f"missing header field(s): {', '.join(missing)}")
     try:
-        scan = PhaseScan(period=float(header.pop("scan_period_s")),
-                         theta0=float(header.pop("scan_theta0_rad")),
-                         jitter_sigma=float(header.pop("scan_jitter_rad")))
-        acq = AcquisitionSettings(center_frequency=float(header.pop("f_hz")),
-                                  resolution_bandwidth=float(header.pop("rbw_hz")),
-                                  video_bandwidth=float(header.pop("vbw_hz")),
-                                  sweep_duration=float(header.pop("sweep_s")),
-                                  sample_count=int(header.pop("samples")),
-                                  lo_scan=scan)
-        shot_ref = float(header.pop("shot_reference_db", 0.0))
+        scan = PhaseScan(**_header_fields(header, _SCAN_HEADER))
+        acq = AcquisitionSettings(**_header_fields(header, _ACQUISITION_HEADER), lo_scan=scan)
+        shot_ref = _finite(_SHOT_REFERENCE, float(header.pop(_SHOT_REFERENCE, 0.0)))
         trace = NoiseTrace(times=np.asarray(times), powers_db=np.asarray(powers),
-                           acquisition=acq, shot_reference_db=shot_ref, metadata=header)
+                           acquisition=acq, shot_reference_db=shot_ref,
+                           metadata={key: _parse_value(value) for key, value in header.items()})
     except (ValueError, TypeError) as exc:  # bad header value or inconsistent samples
         raise TraceFormatError(f"invalid trace contents: {exc}") from None
     if acq.sample_count != len(trace):

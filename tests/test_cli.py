@@ -221,6 +221,45 @@ class TestMalformedInputs:
         assert code == 1
         assert err.startswith("error:") and "x > 0" in err
 
+class TestNonFiniteInputs:
+    def test_measured_csv_nan_rejected(self, capsys, config_path, tmp_path):
+        measured = tmp_path / "measured.csv"
+        measured.write_text("power_mw,s_min_db,s_max_db\n47.85,nan,7.00\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config_path),
+                                 "--gains", "2,5.3", "--measured", str(measured))
+        assert code == 1
+        assert out == ""
+        assert "measured.csv:2:" in err and "finite" in err
+
+    def test_non_finite_gain_rejected(self, capsys, config_path):
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config_path), "--gains", "2,inf")
+        assert code == 1
+        assert "gain 'inf' must be finite" in err
+
+    def test_overflowing_power_rejected(self, capsys, config_path):
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config_path),
+                                 "--powers", "1e400mW", "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert "'power' is not finite" in err
+
+    def test_overflowing_config_value_is_a_parse_error(self, capsys, config_path, tmp_path):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(config_path.read_text().replace("l = 600mm", "l = 1e400mm"))
+        code, _, err = run_cli(capsys, "predict", "--config", str(cfg))
+        assert code == 1
+        assert "line 5: value of 'l' is not finite" in err
+
+    def test_fit_with_washed_out_jitter_is_an_error(self, capsys, config_path, tmp_path):
+        trace_path = tmp_path / "trace.csv"
+        run_cli(capsys, "synth", "--config", str(config_path), "--seed", "4", "--out", str(trace_path))
+        text = trace_path.read_text()
+        trace_path.write_text(text.replace("scan_jitter_rad=0.12", "scan_jitter_rad=30"))
+        code, _, err = run_cli(capsys, "fit", "--trace", str(trace_path), "--config", str(config_path))
+        assert code == 1
+        assert "washes out" in err
+
+
 class TestEntryPoint:
     def test_console_script(self, config_path):
         proc = subprocess.run([sys.executable, "-m", "sqzlab.cli", "predict",

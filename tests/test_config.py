@@ -9,6 +9,7 @@ from sqzlab import (
     parse_config,
     predict_levels,
 )
+from sqzlab.config import parse_quantity
 
 GOOD = """\
 [cavity]
@@ -197,3 +198,77 @@ class TestRoundTrip:
     def test_round_trip_power_pump(self):
         cfg = parse_config(GOOD.replace("gain = 5.3", "power = 61mW"))
         assert parse_config(format_config(cfg)) == cfg
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("old, new, key, line", [
+        ("l = 600mm", "l = 1e400mm", "l", 2),
+        ("samples = 401", "samples = 1e400", "samples", 20),
+        ("f = 1MHz", "f = 1e300GHz", "f", 16),
+    ])
+    def test_overflowing_value_names_key_and_line(self, old, new, key, line):
+        with pytest.raises(ConfigError, match=rf"line {line}: value of '{key}' is not finite"):
+            parse_config(GOOD.replace(old, new))
+
+    def test_parse_quantity_rejects_overflow(self):
+        with pytest.raises(ConfigError, match="'power' is not finite"):
+            parse_quantity("1e400mW", "power", "power", 0)
+
+    def test_count_kind_gives_an_int(self):
+        value = parse_quantity("401", "count", "samples", 0)
+        assert value == 401 and isinstance(value, int)
+
+
+class TestDefaultScan:
+    def test_zero_sweep_without_scan_is_located(self):
+        text = GOOD[: GOOD.index("[scan]")].replace("sweep = 0.2s", "sweep = 0s")
+        with pytest.raises(ConfigError, match=r"^line 19: scan period must be > 0"):
+            parse_config(text)
+
+
+BUNDLED_TEXT = """\
+[cavity]
+l = 0.6m
+T = 0.1
+L = 0.0173
+Enl = 0.023/W
+
+[detection]
+eta = 0.99
+xi = 0.91
+prop = 1.0
+clearance = 14.0dB
+
+[pump]
+gain = 5.3
+
+[acquisition]
+f = 1000000.0Hz
+rbw = 100000.0Hz
+vbw = 30.0Hz
+sweep = 0.2s
+samples = 401
+
+[scan]
+period = 0.2s
+theta0 = 0.0rad
+jitter = 0.12rad
+"""
+
+
+class TestCanonicalText:
+    """format_config output pinned byte for byte: a reordered key or a
+    changed suffix would still round-trip by value."""
+
+    def test_bundled_config(self, config_path):
+        assert format_config(load_config(config_path)) == BUNDLED_TEXT
+
+    def test_power_pump(self, config_path):
+        text = config_path.read_text().replace("gain = 5.3", "power = 61mW")
+        expected = BUNDLED_TEXT.replace("gain = 5.3", "power = 0.061W")
+        assert format_config(parse_config(text)) == expected
+
+    def test_without_acquisition(self, config_path):
+        text = config_path.read_text()
+        cfg = parse_config(text[: text.index("[acquisition]")])
+        assert format_config(cfg) == BUNDLED_TEXT[: BUNDLED_TEXT.index("\n[acquisition]")]

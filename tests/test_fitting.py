@@ -256,6 +256,12 @@ class TestStartModelDomain:
         with pytest.raises(ParameterDomainError, match="non-finite"):
             fit_trace(trace, guess)
 
+    def test_jitter_that_washes_out_the_modulation_rejected(self):
+        # exp(-2*sigma^2) underflows to 0 above sigma ~ 19.3 rad
+        trace = _synth(seed=344, jitter=30.0)
+        with pytest.raises(ParameterDomainError, match="washes out"):
+            fit_trace(trace)
+
 
 def _acq_k20(jitter=0.0):
     """Bundled RBW with VBW 10 kHz: estimator dof k = 20."""

@@ -8,6 +8,8 @@ from sqzlab import (
     NoiseTrace,
     PhaseScan,
     TraceFormatError,
+    load_config,
+    operating_point,
     parse_trace,
     serialize_trace,
     synthesize_trace,
@@ -117,3 +119,59 @@ class TestSampleCountHeader:
         text = serialize_trace(synthesize_trace(0.8, 0.8, 0.5, 0.1, chain, acquisition, 5))
         with pytest.raises(TraceFormatError, match="samples=7 but the file has 401 data rows"):
             parse_trace(text.replace("samples=401", "samples=7"))
+
+
+class TestHeaderNumbers:
+    @pytest.mark.parametrize("old, new", [
+        ("samples=401", "samples=1e400"),
+        ("scan_period_s=0.2", "scan_period_s=1e400"),
+        ("scan_theta0_rad=0.0", "scan_theta0_rad=nan"),
+        ("scan_jitter_rad=0.0", "scan_jitter_rad=1e400"),
+        ("f_hz=1000000.0", "f_hz=inf"),
+        ("shot_reference_db=0.0", "shot_reference_db=nan"),
+    ])
+    def test_non_finite_header_number_rejected(self, chain, acquisition, old, new):
+        text = serialize_trace(synthesize_trace(0.8, 0.8, 0.5, 0.1, chain, acquisition, 4))
+        assert old in text
+        with pytest.raises(TraceFormatError, match="invalid trace contents"):
+            parse_trace(text.replace(old, new))
+
+    def test_fractional_sample_count_rejected(self):
+        text = serialize_trace(_trace([0.0, 0.1, 0.2, 0.3], [1.0, -1.0, 0.5, 0.0]))
+        with pytest.raises(TraceFormatError, match="invalid trace contents"):
+            parse_trace(text.replace("samples=4", "samples=4.5"))
+
+    def test_non_finite_sample_time_rejected(self):
+        text = serialize_trace(_trace([0.0, 0.1, 0.2, 0.3], [1.0, -1.0, 0.5, 0.0]))
+        with pytest.raises(TraceFormatError, match="sample times must be finite"):
+            parse_trace(text.replace("\n0.3,", "\n1e400,"))
+
+
+BUNDLED_TRACE_HEADER = """\
+# sqzlab-trace v1
+# f_hz=1000000.0
+# rbw_hz=100000.0
+# vbw_hz=30.0
+# sweep_s=0.2
+# samples=401
+# scan_period_s=0.2
+# scan_theta0_rad=0.0
+# scan_jitter_rad=0.12
+# shot_reference_db=0.0
+# alpha=0.8198190000000001
+# clearance_db=14.0
+# omega_norm=0.10720434894893513
+# rho=0.8525149190110828
+# seed=42
+# x=0.5656277572369306
+time_s,power_db
+"""
+
+
+def test_header_text_of_a_bundled_config_trace(config_path):
+    cfg = load_config(config_path)
+    point = operating_point(cfg.cavity, cfg.detection, cfg.pump,
+                            cfg.acquisition.center_frequency)
+    text = serialize_trace(synthesize_trace(*point, cfg.detection, cfg.acquisition, 42))
+    assert text.startswith(BUNDLED_TRACE_HEADER)
+    assert text.count("\n") == BUNDLED_TRACE_HEADER.count("\n") + 401
