@@ -19,7 +19,7 @@ are made between measured values and circuit-noise-mapped predictions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,6 +87,8 @@ def sweep_pump(cavity: CavityParams, chain: DetectionChain, pumps: list[PumpSpec
                measured: list[tuple[float, VarianceLevels]] | None = None) -> list[SweepRow]:
     """Predicted levels for a list of pump drives, ordered by pump power.
 
+    The threshold, the efficiencies and the detuning parameter are derived
+    once per sweep; each pump adds only its x and ``min_max_levels``.
     Above-threshold entries are kept in the table and marked invalid rather
     than dropped.  Measured level pairs, given as (pump_power_W, levels),
     attach to the row with the nearest pump power.
@@ -94,6 +96,8 @@ def sweep_pump(cavity: CavityParams, chain: DetectionChain, pumps: list[PumpSpec
     if not pumps:
         raise ParameterDomainError("pump list must not be empty")
     p_th = threshold_power(cavity)
+    alpha, rho = detection_efficiency(chain), escape_efficiency(cavity)
+    omega_norm = spectral_point(cavity, frequency_hz).detuning_parameter
     rows = []
     for pump in pumps:
         try:
@@ -105,21 +109,16 @@ def sweep_pump(cavity: CavityParams, chain: DetectionChain, pumps: list[PumpSpec
             continue
         power = pump.pump_power if pump.kind == "power" else x * x * p_th
         gain = pump.parametric_gain if pump.kind == "gain" else gain_from_pump_parameter(x)
-        levels = predict_levels(cavity, chain, pump, frequency_hz)
         rows.append(SweepRow(pump_power=power, parametric_gain=gain, pump_parameter=x,
-                             predicted=levels, primary=pump.kind))
+                             predicted=min_max_levels(alpha, rho, x, omega_norm),
+                             primary=pump.kind))
     rows.sort(key=lambda r: r.pump_power)
     if measured:
         powers = np.array([r.pump_power for r in rows])
         assigned: dict[int, VarianceLevels] = {}
         for m_power, m_levels in measured:
             assigned[int(np.argmin(np.abs(powers - m_power)))] = m_levels
-        rows = [
-            SweepRow(pump_power=r.pump_power, parametric_gain=r.parametric_gain,
-                     pump_parameter=r.pump_parameter, predicted=r.predicted,
-                     measured=assigned.get(i), primary=r.primary, valid=r.valid)
-            for i, r in enumerate(rows)
-        ]
+        rows = [replace(r, measured=assigned.get(i)) for i, r in enumerate(rows)]
     return rows
 
 
@@ -156,16 +155,6 @@ def _scaled_prediction_db(gain_scale, efficiency_scale, nominal_gain: float, alp
     return apply_circuit_noise(s_min, clearance_db), apply_circuit_noise(s_max, clearance_db)
 
 
-def _edge_minimum(misfit, lo: float, hi: float) -> float:
-    """Argmin of misfit(t) over [lo, hi]: a 65-point grid, narrowed five times
-    around its best point."""
-    for _ in range(5):
-        t = np.linspace(lo, hi, 65)
-        i = int(np.argmin(misfit(t)))
-        lo, hi = t[max(i - 1, 0)], t[min(i + 1, 64)]
-    return float(t[i])
-
-
 def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
                           chain: DetectionChain, pump: PumpSpec,
                           frequency_hz: float) -> ReconcileResult:
@@ -182,7 +171,9 @@ def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
     negative discriminant) or a root outside the box, the least-squares point
     on the box edge is returned with ``exact_match=False``: R(x) is strictly
     increasing, so every interior critical point of the misfit is a root.
-    Each edge is scanned on a 1-D grid narrowed around its best point.
+    Each edge is scanned on a 65-point grid narrowed five times around its
+    best point; all four edges are scanned together, one array evaluation per
+    narrowing round, and the best of the last round's edge minima wins.
     ``iterations`` is always 0.  A level at or below the electronic floor
     raises ParameterDomainError.
     """
@@ -215,11 +206,19 @@ def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
     if not in_box:
         eps = 1e-7  # the box is open at g = 0.5, 1.5 and e = 0.3
         g_lo, g_hi, e_lo = g_lo + eps, g_hi - eps, e_lo + eps
-        edges = [(fixed, _edge_minimum(lambda t: misfit(fixed, t), e_lo, e_hi))
-                 for fixed in (g_lo, g_hi)]
-        edges += [(_edge_minimum(lambda t: misfit(t, fixed), g_lo, g_hi), fixed)
-                  for fixed in (e_lo, e_hi)]
-        g, e = min(edges, key=lambda point: misfit(*point))
+        # rows: e scanned on g = g_lo and g = g_hi, then g on e = e_lo and e = e_hi
+        fixed = np.array([[g_lo], [g_hi], [e_lo], [e_hi]])
+        scans_e = np.array([[True], [True], [False], [False]])
+        lo, hi = np.array([e_lo, e_lo, g_lo, g_lo]), np.array([e_hi, e_hi, g_hi, g_hi])
+        rows = np.arange(4)
+        for _ in range(5):
+            t = np.linspace(lo, hi, 65, axis=-1)
+            gs, es = np.where(scans_e, fixed, t), np.where(scans_e, t, fixed)
+            values = misfit(gs, es)
+            i = np.argmin(values, axis=1)
+            lo, hi = t[rows, np.maximum(i - 1, 0)], t[rows, np.minimum(i + 1, 64)]
+        best = np.argmin(values[rows, i])
+        g, e = gs[best, i[best]], es[best, i[best]]
     norm = float(misfit(g, e))
     return ReconcileResult(
         gain_scale=float(g),

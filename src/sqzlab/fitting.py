@@ -35,6 +35,7 @@ structure of Golub & Pereyra, 1973), so initial_guess is one regression.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -209,6 +210,14 @@ def _normalize(p: np.ndarray, cov: np.ndarray):
     return p, cov
 
 
+def _floor(clearance_db: float) -> float:
+    """Linear electronic floor 10^(-clearance/10) for a finite clearance > 0 dB;
+    any other clearance (a header may carry text) raises ParameterDomainError."""
+    if not (isinstance(clearance_db, numbers.Real) and 0.0 < clearance_db < math.inf):
+        raise ParameterDomainError(f"clearance must be finite and > 0 dB, got {clearance_db}")
+    return 10.0 ** (-clearance_db / 10.0)
+
+
 def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.0,
                   jitter_sigma: float = 0.0, scan_rate: float | None = None) -> FitModel:
     """Closed-form start: regress the linear powers 10^(y/10)*(1+n) - n, which
@@ -216,13 +225,14 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     2*rate*t; their mean is A + B*exp(-2*sigma^2)*cos(2*theta0 + 2*rate*t).
     s_min starts no lower than A/100: far below, its Jacobian column vanishes
     and LM trial steps overflow.  A jitter so wide that exp(-2*sigma^2)
-    underflows to 0 leaves no modulation and raises ParameterDomainError."""
+    underflows to 0 leaves no modulation and raises ParameterDomainError, as
+    does a clearance that is not finite and > 0 dB."""
     contrast = math.exp(-2.0 * jitter_sigma * jitter_sigma)
     if contrast == 0.0:
         raise ParameterDomainError(
             f"jitter_sigma = {jitter_sigma} rad washes out the phase modulation "
             "(exp(-2*sigma^2) underflows to 0), so the levels cannot be fitted")
-    floor = 10.0 ** (-clearance_db / 10.0)
+    floor = _floor(clearance_db)
     rate = scan_rate if scan_rate is not None else trace.acquisition.lo_scan.rate
     phase = 2.0 * rate * trace.times
     design = np.column_stack((np.ones_like(phase), np.cos(phase), np.sin(phase)))
@@ -248,7 +258,8 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None,
     returns the best-so-far values with ``converged=False``.  A trace without
     usable phase modulation is flagged ``phase_identifiable=False`` and the
     phase uncertainty is reported as the full model period (pi).  A start
-    model whose curve is not finite (e.g. an overflowing level) raises
+    model whose curve is not finite (e.g. an overflowing level) or a
+    clearance, given or recorded, that is not finite and > 0 dB raises
     ParameterDomainError.
     """
     if len(trace) < 10 * _N_FREE:
@@ -259,7 +270,7 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None,
         model = initial_guess(trace, clearance_db=trace.metadata.get("clearance_db", 14.0),
                               omega_norm=trace.metadata.get("omega_norm", 0.0),
                               jitter_sigma=trace.acquisition.lo_scan.jitter_sigma)
-    floor = 10.0 ** (-model.clearance_db / 10.0)
+    floor = _floor(model.clearance_db)
     t, y = trace.times, trace.powers_db
     p0 = np.array([model.s_min_db, model.s_max_db, model.theta0, model.scan_rate])
     p, jac, ssr, history, iterations, converged = _lm_minimize(

@@ -171,9 +171,10 @@ def cavity_decay_rate(cavity: CavityParams) -> float:
 
 
 def detuning_parameter(cavity: CavityParams, omega: float) -> float:
-    """Normalised sideband frequency omega / gamma for angular frequency omega."""
-    if not omega > 0.0:
-        raise ParameterDomainError(f"analysis frequency must be > 0, got {omega}")
+    """Normalised sideband frequency omega / gamma for a finite angular
+    frequency omega > 0."""
+    if not 0.0 < omega < math.inf:
+        raise ParameterDomainError(f"analysis frequency must be finite and > 0, got {omega}")
     return omega / cavity_decay_rate(cavity)
 
 

@@ -7,6 +7,8 @@ from scipy.optimize import brentq
 from sqzlab import (
     ParameterDomainError,
     PumpSpec,
+    ReconcileResult,
+    SweepRow,
     VarianceLevels,
     apply_circuit_noise,
     detection_efficiency,
@@ -21,6 +23,7 @@ from sqzlab import (
     sweep_pump,
     threshold_power,
 )
+from sqzlab.analysis import EFFICIENCY_SCALE_BOX, GAIN_SCALE_BOX, _scaled_prediction_db
 
 F0 = 1e6
 MEASURED = VarianceLevels.from_db(-2.75, 7.00)
@@ -274,3 +277,116 @@ class TestLossOnlyDomain:
     def test_zero_pump_rejected(self, cavity, chain, pump):
         with pytest.raises(ParameterDomainError):
             loss_only_explanation_check(MEASURED, cavity, chain, pump, F0)
+
+
+def _edge_minimum(misfit, lo, hi):
+    """Argmin of misfit(t) over [lo, hi] for one edge on its own: a 65-point
+    grid, narrowed five times around its best point."""
+    for _ in range(5):
+        t = np.linspace(lo, hi, 65)
+        i = int(np.argmin(misfit(t)))
+        lo, hi = t[max(i - 1, 0)], t[min(i + 1, 64)]
+    return float(t[i])
+
+
+def _sequential_edge_oracle(measured, cavity, chain, pump):
+    """Box-edge reconciliation with the four edges scanned one after another,
+    each by its own 1-D scan, and the winner picked by re-evaluating the misfit."""
+    gain = pump.parametric_gain
+    alpha, rho, _, omega_norm = operating_point(cavity, chain, pump, F0)
+    clearance = chain.circuit_noise_clearance_db
+
+    def misfit(g, e):
+        lo_db, hi_db = _scaled_prediction_db(g, e, gain, alpha, rho, omega_norm, clearance)
+        return np.hypot(lo_db - measured.s_min_db, hi_db - measured.s_max_db)
+
+    eps = 1e-7
+    g_lo, g_hi = GAIN_SCALE_BOX[0] + eps, GAIN_SCALE_BOX[1] - eps
+    e_lo, e_hi = EFFICIENCY_SCALE_BOX[0] + eps, EFFICIENCY_SCALE_BOX[1]
+    edges = [(fixed, _edge_minimum(lambda t: misfit(fixed, t), e_lo, e_hi))
+             for fixed in (g_lo, g_hi)]
+    edges += [(_edge_minimum(lambda t: misfit(t, fixed), g_lo, g_hi), fixed)
+              for fixed in (e_lo, e_hi)]
+    g, e = min(edges, key=lambda point: misfit(*point))
+    norm = float(misfit(g, e))
+    return ReconcileResult(gain_scale=float(g), efficiency_scale=min(float(e), e_hi),
+                           residual_db=norm, amplitude_gain_scale=math.sqrt(g),
+                           corrected_gain=float(g * gain), iterations=0,
+                           exact_match=norm < 1e-6)
+
+
+def _per_pump_sweep_oracle(cavity, chain, pumps, measured=None):
+    """sweep_pump rows built with one full predict_levels call per pump."""
+    p_th = threshold_power(cavity)
+    rows = []
+    for pump in pumps:
+        if pump.kind == "power" and pump.pump_power >= p_th:
+            rows.append(SweepRow(pump_power=pump.pump_power, parametric_gain=None,
+                                 pump_parameter=None, predicted=None, primary="power",
+                                 valid=False))
+            continue
+        x = pump_parameter(pump, p_th)
+        rows.append(SweepRow(
+            pump_power=pump.pump_power if pump.kind == "power" else x * x * p_th,
+            parametric_gain=pump.parametric_gain if pump.kind == "gain" else 1.0 / (1.0 - x) ** 2,
+            pump_parameter=x, predicted=predict_levels(cavity, chain, pump, F0),
+            primary=pump.kind))
+    rows.sort(key=lambda r: r.pump_power)
+    powers = np.array([r.pump_power for r in rows])
+    assigned = {int(np.argmin(np.abs(powers - p))): levels for p, levels in measured or []}
+    return [SweepRow(pump_power=r.pump_power, parametric_gain=r.parametric_gain,
+                     pump_parameter=r.pump_parameter, predicted=r.predicted,
+                     measured=assigned.get(i), primary=r.primary, valid=r.valid)
+            for i, r in enumerate(rows)]
+
+
+class TestBatchedEdgeScanEquivalence:
+    """The one-array-per-round scan of all four edges reproduces the four
+    sequential per-edge scans bit for bit."""
+
+    def test_seeded_out_of_box_pairs(self, cavity, chain):
+        rng = np.random.default_rng(8)
+        compared = 0
+        for _ in range(240):
+            measured = VarianceLevels.from_db(rng.uniform(-14.0, 1.0), rng.uniform(-1.0, 20.0))
+            pump = PumpSpec(parametric_gain=float(rng.uniform(1.0, 12.0)))
+            result = reconcile_discrepancy(measured, cavity, chain, pump, F0)
+            if result.exact_match:
+                continue  # an in-box root: no edge scan
+            assert repr(result) == repr(_sequential_edge_oracle(measured, cavity, chain, pump))
+            compared += 1
+        assert compared >= 200
+
+    @pytest.mark.parametrize("pair_db", [(-0.5, 14.0), (-2.0, 0.0)])
+    def test_probe_pairs(self, cavity, chain, pump_gain, pair_db):
+        measured = VarianceLevels.from_db(*pair_db)
+        result = reconcile_discrepancy(measured, cavity, chain, pump_gain, F0)
+        assert repr(result) == repr(_sequential_edge_oracle(measured, cavity, chain, pump_gain))
+
+
+class TestSweepEquivalence:
+    """Deriving the operating point once per sweep gives the rows of one
+    predict_levels call per pump, bit for bit."""
+
+    def test_mixed_pump_lists(self, cavity, chain):
+        rng = np.random.default_rng(9)
+        p_th = threshold_power(cavity)
+        for n in range(1, 41):
+            pumps = []
+            for kind in rng.integers(3, size=n):
+                if kind == 0:  # up to 1.5x threshold, so some rows are invalid
+                    pumps.append(PumpSpec(pump_power=float(rng.uniform(0.0, 1.5 * p_th))))
+                elif kind == 1:
+                    pumps.append(PumpSpec(parametric_gain=float(rng.uniform(1.0, 30.0))))
+                else:
+                    pumps.append(PumpSpec(pump_parameter=float(rng.uniform(0.0, 0.999))))
+            measured = [(float(rng.uniform(0.0, p_th)), MEASURED) for _ in range(n % 3)]
+            rows = sweep_pump(cavity, chain, pumps, F0, measured)
+            assert repr(rows) == repr(_per_pump_sweep_oracle(cavity, chain, pumps, measured))
+
+    def test_threshold_straddling_powers(self, cavity, chain):
+        pumps = [PumpSpec(pump_power=p) for p in (0.020, 0.061, 0.1496, 0.149, 0.200)]
+        rows = sweep_pump(cavity, chain, pumps, F0, [(0.061, MEASURED)])
+        assert [r.valid for r in rows] == [True, True, True, False, False]
+        assert repr(rows) == repr(_per_pump_sweep_oracle(cavity, chain, pumps,
+                                                         [(0.061, MEASURED)]))

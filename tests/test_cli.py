@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -258,6 +259,27 @@ class TestNonFiniteInputs:
         code, _, err = run_cli(capsys, "fit", "--trace", str(trace_path), "--config", str(config_path))
         assert code == 1
         assert "washes out" in err
+
+    # 1e400 parses to inf, and an infinite frequency makes the levels nan
+    @pytest.mark.parametrize("frequency", ["inf", "1e400", "nan"])
+    @pytest.mark.parametrize("command, extra", [
+        ("predict", []),
+        ("sweep", ["--powers", "20mW,61mW"]),
+        ("reconcile", ["--measured=-2.75,7.00"]),
+    ])
+    def test_non_finite_frequency_rejected(self, capsys, config_path, tmp_path, command, extra,
+                                           frequency):
+        # without [acquisition] the analysis frequency comes from --frequency-hz
+        text = config_path.read_text()
+        cfg = tmp_path / "no_acquisition.cfg"
+        cfg.write_text(text[:text.index("[acquisition]")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            code, out, err = run_cli(capsys, command, "--config", str(cfg), *extra,
+                                     "--frequency-hz", frequency)
+        assert code == 1
+        assert out == ""
+        assert "analysis frequency must be finite and > 0" in err
 
 
 class TestEntryPoint:

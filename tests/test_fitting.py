@@ -20,6 +20,8 @@ from sqzlab import (
     load_config,
     min_max_levels,
     operating_point,
+    parse_trace,
+    serialize_trace,
     synthesize_trace,
 )
 from sqzlab.fitting import _model_and_jacobian
@@ -261,6 +263,24 @@ class TestStartModelDomain:
         trace = _synth(seed=344, jitter=30.0)
         with pytest.raises(ParameterDomainError, match="washes out"):
             fit_trace(trace)
+
+    # 1e400 parses to inf; a negative clearance lets s_min run off to about
+    # -2e8 dB, and an infinite one removes the floor from the model
+    @pytest.mark.parametrize("clearance", ["-5", "0", "1e400", "nan", "abc"])
+    def test_recorded_clearance_must_be_finite_and_positive(self, clearance):
+        text = serialize_trace(_synth(seed=345)).replace(
+            "# clearance_db=14.0\n", f"# clearance_db={clearance}\n")
+        trace = parse_trace(text)  # the header itself parses
+        with pytest.raises(ParameterDomainError, match="clearance must be finite and > 0 dB"):
+            fit_trace(trace)
+
+    @pytest.mark.parametrize("clearance", [-5.0, 0.0, math.inf, math.nan])
+    def test_given_clearance_must_be_finite_and_positive(self, clearance):
+        trace = _synth(seed=346)
+        with pytest.raises(ParameterDomainError, match="clearance must be finite and > 0 dB"):
+            initial_guess(trace, clearance_db=clearance)
+        with pytest.raises(ParameterDomainError, match="clearance must be finite and > 0 dB"):
+            fit_trace(trace, replace(_perturbed_guess(), clearance_db=clearance))
 
 
 def _acq_k20(jitter=0.0):

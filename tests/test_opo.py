@@ -93,6 +93,16 @@ class TestDetuning:
         with pytest.raises(ParameterDomainError):
             detuning_parameter(cavity, 0.0)
 
+    @pytest.mark.parametrize("omega", [math.inf, math.nan, -math.inf], ids=["inf", "nan", "-inf"])
+    def test_rejects_non_finite(self, cavity, omega):
+        with pytest.raises(ParameterDomainError, match="must be finite and > 0"):
+            detuning_parameter(cavity, omega)
+
+    def test_frequency_overflowing_to_infinite_omega_rejected(self, cavity):
+        # 2*pi*1e308 Hz overflows to omega = inf
+        with pytest.raises(ParameterDomainError, match="must be finite and > 0"):
+            spectral_point(cavity, 1e308)
+
 
 class TestPumpParameter:
     def test_gain_variant(self):
