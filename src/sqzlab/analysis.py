@@ -40,6 +40,7 @@ from .opo import (
 
 GAIN_SCALE_BOX = (0.5, 1.5)
 EFFICIENCY_SCALE_BOX = (0.3, 1.0)
+_EDGE_GRID = np.arange(65.0)  # point indices of one box-edge scan round
 
 
 def operating_point(cavity: CavityParams, chain: DetectionChain, pump: PumpSpec,
@@ -212,7 +213,10 @@ def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
         lo, hi = np.array([e_lo, e_lo, g_lo, g_lo]), np.array([e_hi, e_hi, g_hi, g_hi])
         rows = np.arange(4)
         for _ in range(5):
-            t = np.linspace(lo, hi, 65, axis=-1)
+            # np.linspace(lo, hi, 65, axis=-1) bit for bit (no row has zero width):
+            # lo + i*step with the last point pinned to hi
+            t = lo[:, None] + _EDGE_GRID * ((hi - lo) / 64)[:, None]
+            t[:, -1] = hi
             gs, es = np.where(scans_e, fixed, t), np.where(scans_e, t, fixed)
             values = misfit(gs, es)
             i = np.argmin(values, axis=1)

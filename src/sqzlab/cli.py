@@ -131,6 +131,17 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _finite_or_none(value: float) -> float | None:
+    """JSON has no infinity: an unbounded sigma is written as null."""
+    return value if math.isfinite(value) else None
+
+
+def _uncertainty(sigma_db: float) -> str:
+    if math.isfinite(sigma_db):
+        return f"+/- {_fmt(sigma_db)} dB (1 sigma)"
+    return "dB, 1 sigma unbounded (the trace does not determine this level)"
+
+
 def _cmd_fit(args) -> int:
     cfg = load_config(args.config)
     trace = traceio.load_trace(args.trace)
@@ -140,9 +151,9 @@ def _cmd_fit(args) -> int:
     if args.format == "json":
         payload = {
             "s_min_db": result.levels.s_min_db,
-            "s_min_sigma_db": result.s_min_sigma_db,
+            "s_min_sigma_db": _finite_or_none(result.s_min_sigma_db),
             "s_max_db": result.levels.s_max_db,
-            "s_max_sigma_db": result.s_max_sigma_db,
+            "s_max_sigma_db": _finite_or_none(result.s_max_sigma_db),
             "theta0_rad": result.model.theta0,
             "scan_rate_rad_s": result.model.scan_rate,
             "residual_rms_db": result.residual_rms_db,
@@ -153,8 +164,8 @@ def _cmd_fit(args) -> int:
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(f"s_min = {_fmt(result.levels.s_min_db)} +/- {_fmt(result.s_min_sigma_db)} dB (1 sigma)")
-        print(f"s_max = {_fmt(result.levels.s_max_db)} +/- {_fmt(result.s_max_sigma_db)} dB (1 sigma)")
+        print(f"s_min = {_fmt(result.levels.s_min_db)} {_uncertainty(result.s_min_sigma_db)}")
+        print(f"s_max = {_fmt(result.levels.s_max_db)} {_uncertainty(result.s_max_sigma_db)}")
         print(f"theta0 = {_fmt(result.model.theta0)} rad")
         print(f"scan_rate = {_fmt(result.model.scan_rate)} rad/s")
         print(f"residual_rms = {_fmt(result.residual_rms_db)} dB")

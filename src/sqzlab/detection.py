@@ -157,12 +157,13 @@ def apply_circuit_noise(s_linear, clearance_db: float):
 
     Both the signal and the shot-noise reference acquire the same additive
     electronic floor n = 10^(-clearance/10); the observable is therefore
-    10*log10((s + n) / (1 + n)).
+    10*log10((s + n) / (1 + n)).  A scalar (Python, numpy or 0-d) gives a
+    numpy float64, an array an array of its shape.
     """
     if not clearance_db > 0.0:
         raise ParameterDomainError(f"clearance must be > 0 dB, got {clearance_db}")
-    s = np.asarray(s_linear, dtype=float) if np.ndim(s_linear) else s_linear
-    if not np.all(np.asarray(s) > 0.0):
+    s = np.asarray(s_linear, dtype=float)
+    if not (s > 0.0).all():
         raise ParameterDomainError("variance must be > 0")
     n = 10.0 ** (-clearance_db / 10.0)
     return 10.0 * np.log10((s + n) / (1.0 + n))
@@ -170,12 +171,15 @@ def apply_circuit_noise(s_linear, clearance_db: float):
 
 def remove_circuit_noise(observed_db, clearance_db: float):
     """Underlying linear variance from an observed level; inverse of
-    apply_circuit_noise.  Values below the floor raise."""
+    apply_circuit_noise.  Values at or below the floor (and NaN) raise.  A
+    scalar (Python, numpy or 0-d) gives a Python float, an array an array of
+    its shape."""
+    observed = np.asarray(observed_db, dtype=float)
     n = 10.0 ** (-clearance_db / 10.0)
-    s = 10.0 ** (np.asarray(observed_db, dtype=float) / 10.0) * (1.0 + n) - n
-    if not np.all(s > 0.0):
+    s = 10.0 ** (observed / 10.0) * (1.0 + n) - n
+    if not (s > 0.0).all():
         raise ParameterDomainError("observed level lies at or below the electronic floor")
-    return s if np.ndim(observed_db) else float(s)
+    return s if observed.ndim else float(s)
 
 
 def jitter_averaged_variance(theta0: float, sigma: float, alpha: float, rho: float,

@@ -49,6 +49,7 @@ _MIN_START_FRACTION = 0.01  # s_min start floor, fraction of the mean level A
 _GRADIENT_COSINE_TOL = 1e-6  # MINPACK max|J_i.r|/(|J_i||r|) at a stationary point
 _SERIES_TOL = 1e-16  # largest dropped term of the jitter series, natural-log units
 _MAX_TERMS = 1 << 16  # binds only below sigma ~ 6.5e-5 rad with levels > 70 dB apart
+_RANK_RTOL = 1e-8  # singular values (and null-vector components) below this are zero
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,10 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None,
     (the iteration cap, or no descending step from a non-stationary point)
     returns the best-so-far values with ``converged=False``.  A trace without
     usable phase modulation is flagged ``phase_identifiable=False`` and the
-    phase uncertainty is reported as the full model period (pi).  A start
+    phase uncertainty is reported as the full model period (pi).  A
+    parameter with a component in the null space of a rank-deficient
+    Jacobian (e.g. s_min far below the electronic floor) has an unbounded
+    uncertainty: its variance and sigma are ``math.inf``.  A start
     model whose curve is not finite (e.g. an overflowing level) or a
     clearance, given or recorded, that is not finite and > 0 dB raises
     ParameterDomainError.
@@ -276,11 +280,17 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None,
     p, jac, ssr, history, iterations, converged = _lm_minimize(
         p0, t, y, floor, model.jitter_sigma, opts)
     sv = np.linalg.svd(jac, compute_uv=False)
-    full_rank = sv[-1] > 1e-8 * sv[0]
+    full_rank = sv[-1] > _RANK_RTOL * sv[0]
     dof = max(len(trace) - _N_FREE, 1)
     scale = ssr / dof
     hess = jac.T @ jac
     cov = scale * (np.linalg.inv(hess) if full_rank else np.linalg.pinv(hess))
+    if not full_rank:
+        # pinv gives the null directions zero variance; a parameter that
+        # moves along one is not determined by the trace at all
+        null = np.linalg.svd(jac, full_matrices=False)[2][sv <= _RANK_RTOL * sv[0]]
+        unbounded = np.abs(null).max(axis=0) > _RANK_RTOL
+        cov[unbounded, unbounded] = math.inf
     p, cov = _normalize(p, cov)
     sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
     # the phase is meaningful only if the modulation amplitude is established

@@ -35,15 +35,17 @@ class AboveThresholdError(ParameterDomainError):
 
 
 def to_db(s_linear):
-    """Linear variance (relative to shot noise) -> dB."""
+    """Linear variance (relative to shot noise) -> dB.  A scalar (Python,
+    numpy or 0-d) gives a Python float, an array an array of its shape."""
     out = 10.0 * np.log10(s_linear)
-    return float(out) if np.ndim(out) == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def from_db(s_db):
-    """dB (relative to shot noise) -> linear variance."""
+    """dB (relative to shot noise) -> linear variance; scalar/array contract
+    of ``to_db``."""
     out = 10.0 ** (np.asarray(s_db) / 10.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -214,13 +216,8 @@ def gain_from_pump_parameter(x: float) -> float:
     return 1.0 / (1.0 - x) ** 2
 
 
-def quadrature_variance(theta, alpha: float, rho: float, x: float, omega_norm: float):
-    """Quadrature variance S(theta) relative to shot noise.
-
-    theta may be a scalar or array (radians).  alpha and rho are the
-    detection and escape efficiencies in [0, 1], x the pump parameter in
-    [0, 1), omega_norm the detuning parameter (>= 0).
-    """
+def _check_operating_point(alpha: float, rho: float, x: float, omega_norm: float) -> None:
+    """Domain of the variance model; NaN fails every check."""
     if not 0.0 <= alpha <= 1.0:
         raise ParameterDomainError(f"detection efficiency must be in [0, 1], got {alpha}")
     if not 0.0 <= rho <= 1.0:
@@ -229,6 +226,16 @@ def quadrature_variance(theta, alpha: float, rho: float, x: float, omega_norm: f
         raise ParameterDomainError(f"pump parameter must be in [0, 1), got {x}")
     if not omega_norm >= 0.0:
         raise ParameterDomainError(f"detuning parameter must be >= 0, got {omega_norm}")
+
+
+def quadrature_variance(theta, alpha: float, rho: float, x: float, omega_norm: float):
+    """Quadrature variance S(theta) relative to shot noise.
+
+    theta may be a scalar or array (radians).  alpha and rho are the
+    detection and escape efficiencies in [0, 1], x the pump parameter in
+    [0, 1), omega_norm the detuning parameter (>= 0).
+    """
+    _check_operating_point(alpha, rho, x, omega_norm)
     theta = np.asarray(theta, dtype=float) if np.ndim(theta) else theta
     w2 = 4.0 * omega_norm * omega_norm
     c2 = np.cos(theta) ** 2
@@ -245,7 +252,7 @@ def min_max_levels(alpha: float, rho: float, x: float, omega_norm: float) -> Var
     detuning) even for x close to 1, where the direct 1 - 4arx/D form loses
     most of its significant digits.
     """
-    quadrature_variance(0.0, alpha, rho, x, omega_norm)  # validate the domain
+    _check_operating_point(alpha, rho, x, omega_norm)
     w2 = 4.0 * omega_norm * omega_norm
     ar = alpha * rho
     s_max = ((1.0 - x) ** 2 + w2 + 4.0 * ar * x) / ((1.0 - x) ** 2 + w2)

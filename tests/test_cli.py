@@ -335,3 +335,35 @@ class TestFitFormat:
         assert default.levels.s_min_db == report["s_min_db"]
         assert default.levels.s_max_db == report["s_max_db"]
         assert default.s_min_sigma_db == report["s_min_sigma_db"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestUndeterminedLevel:
+    """A fit whose s_min the trace does not determine (1 rad of jitter, seed 3)."""
+
+    @pytest.fixture
+    def paths(self, capsys, config_path, tmp_path):
+        cfg = tmp_path / "jitter1.cfg"
+        cfg.write_text(config_path.read_text().replace("jitter = 0.12rad", "jitter = 1.0rad"))
+        trace_path = tmp_path / "trace.csv"
+        run_cli(capsys, "synth", "--config", str(cfg), "--seed", "3", "--out", str(trace_path))
+        return cfg, trace_path
+
+    def test_json_is_strict_with_a_null_sigma(self, capsys, paths):
+        cfg, trace_path = paths
+        code, out, _ = run_cli(capsys, "fit", "--trace", str(trace_path), "--config", str(cfg),
+                               "--format", "json")
+        assert code == 0
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert report["s_min_sigma_db"] is None
+        assert report["s_max_sigma_db"] > 0.0
+
+    def test_text_says_the_sigma_is_unbounded(self, capsys, paths):
+        cfg, trace_path = paths
+        code, out, _ = run_cli(capsys, "fit", "--trace", str(trace_path), "--config", str(cfg))
+        assert code == 0
+        assert "1 sigma unbounded" in out.splitlines()[0]
+        assert out.splitlines()[1].endswith("dB (1 sigma)")

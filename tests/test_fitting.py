@@ -388,3 +388,22 @@ class TestStationarityCheck:
         assert result.iterations == 1
         assert len(result.objective_history) == 1  # no step accepted: still at the start
         assert result.objective_history[0] > 1e3
+
+
+class TestUndeterminedLevel:
+    """At 1 rad of jitter s_min can sink far below the electronic floor, where
+    its Jacobian column vanishes; its sigma is then unbounded, not zero."""
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_null_space_level_has_infinite_sigma(self, config_path, seed):
+        cfg = load_config(config_path)
+        acq = replace(cfg.acquisition, lo_scan=replace(cfg.acquisition.lo_scan, jitter_sigma=1.0))
+        point = operating_point(cfg.cavity, cfg.detection, cfg.pump, acq.center_frequency)
+        result = fit_trace(synthesize_trace(*point, cfg.detection, acq, seed))
+        assert result.converged
+        assert result.levels.s_min_db < -1000.0
+        assert result.s_min_sigma_db == math.inf
+        assert result.covariance[0, 0] == math.inf
+        assert 0.0 < result.s_max_sigma_db < 1.0
+        assert not result.phase_identifiable
+        assert result.parameter_sigmas[2] == math.pi
