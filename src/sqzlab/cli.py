@@ -171,7 +171,13 @@ def _cmd_fit(args) -> int:
         print(f"residual_rms = {_fmt(result.residual_rms_db)} dB")
         print(f"iterations = {result.iterations}")
         print(f"converged = {'yes' if result.converged else 'no'}")
-        if not result.phase_identifiable:
+        undetermined = [name for name, sigma in (("s_min", result.s_min_sigma_db),
+                                                 ("s_max", result.s_max_sigma_db))
+                        if not math.isfinite(sigma)]
+        if undetermined:
+            print(f"warning: the trace does not determine {' or '.join(undetermined)}, "
+                  "phase not identifiable (theta0 sigma = full period)")
+        elif not result.phase_identifiable:
             print("warning: flat trace, phase not identifiable (theta0 sigma = full period)")
     return 0 if result.converged else 2
 

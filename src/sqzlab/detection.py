@@ -171,9 +171,11 @@ def apply_circuit_noise(s_linear, clearance_db: float):
 
 def remove_circuit_noise(observed_db, clearance_db: float):
     """Underlying linear variance from an observed level; inverse of
-    apply_circuit_noise.  Values at or below the floor (and NaN) raise.  A
-    scalar (Python, numpy or 0-d) gives a Python float, an array an array of
-    its shape."""
+    apply_circuit_noise.  Values at or below the floor (and NaN) raise, as
+    does a clearance that is not > 0 dB.  A scalar (Python, numpy or 0-d)
+    gives a Python float, an array an array of its shape."""
+    if not clearance_db > 0.0:
+        raise ParameterDomainError(f"clearance must be > 0 dB, got {clearance_db}")
     observed = np.asarray(observed_db, dtype=float)
     n = 10.0 ** (-clearance_db / 10.0)
     s = 10.0 ** (observed / 10.0) * (1.0 + n) - n

@@ -50,6 +50,7 @@ _GRADIENT_COSINE_TOL = 1e-6  # MINPACK max|J_i.r|/(|J_i||r|) at a stationary poi
 _SERIES_TOL = 1e-16  # largest dropped term of the jitter series, natural-log units
 _MAX_TERMS = 1 << 16  # binds only below sigma ~ 6.5e-5 rad with levels > 70 dB apart
 _RANK_RTOL = 1e-8  # singular values (and null-vector components) below this are zero
+_RATE_FLIP = np.array([1.0, 1.0, -1.0, -1.0])  # (theta0, rate) -> (-theta0, -rate)
 
 
 @dataclass(frozen=True)
@@ -193,22 +194,19 @@ def _lm_minimize(p0, t, y, floor, jitter, opts: FitOptions):
     return p, jac, ssr, np.asarray(history), it, converged
 
 
-def _normalize(p: np.ndarray, cov: np.ndarray):
-    """Canonical parameter form: s_min <= s_max, scan_rate > 0, theta0 in [0, pi)."""
+def _normalize(p: np.ndarray, jac: np.ndarray):
+    """Canonical parameter form: s_min <= s_max, scan_rate > 0, theta0 in [0, pi).
+    Each map is its own inverse, so the Jacobian's columns follow the parameters."""
     p = p.copy()
-    cov = cov.copy()
     if p[0] > p[1]:
         p[[0, 1]] = p[[1, 0]]
         p[2] += math.pi / 2.0
-        cov[[0, 1]] = cov[[1, 0]]
-        cov[:, [0, 1]] = cov[:, [1, 0]]
+        jac = jac[:, [1, 0, 2, 3]]
     if p[3] < 0.0:
-        p[3] = -p[3]
-        p[2] = -p[2]
-        cov[2:, :2] = -cov[2:, :2]
-        cov[:2, 2:] = -cov[:2, 2:]
+        p[2:] = -p[2:]
+        jac = jac * _RATE_FLIP
     p[2] = p[2] % math.pi
-    return p, cov
+    return p, jac
 
 
 def _floor(clearance_db: float) -> float:
@@ -220,10 +218,11 @@ def _floor(clearance_db: float) -> float:
 
 
 def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.0,
-                  jitter_sigma: float = 0.0, scan_rate: float | None = None) -> FitModel:
+                  jitter_sigma: float = 0.0) -> FitModel:
     """Closed-form start: regress the linear powers 10^(y/10)*(1+n) - n, which
     are mean-unbiased (the estimator factor has mean 1), on [1, cos, sin] of
-    2*rate*t; their mean is A + B*exp(-2*sigma^2)*cos(2*theta0 + 2*rate*t).
+    2*rate*t, with the rate the trace's recorded LO scan rate; their mean is
+    A + B*exp(-2*sigma^2)*cos(2*theta0 + 2*rate*t).
     s_min starts no lower than A/100: far below, its Jacobian column vanishes
     and LM trial steps overflow.  A jitter so wide that exp(-2*sigma^2)
     underflows to 0 leaves no modulation and raises ParameterDomainError, as
@@ -234,7 +233,7 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
             f"jitter_sigma = {jitter_sigma} rad washes out the phase modulation "
             "(exp(-2*sigma^2) underflows to 0), so the levels cannot be fitted")
     floor = _floor(clearance_db)
-    rate = scan_rate if scan_rate is not None else trace.acquisition.lo_scan.rate
+    rate = trace.acquisition.lo_scan.rate
     phase = 2.0 * rate * trace.times
     design = np.column_stack((np.ones_like(phase), np.cos(phase), np.sin(phase)))
     s = 10.0 ** (trace.powers_db / 10.0) * (1.0 + floor) - floor
@@ -258,20 +257,25 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None,
     (the iteration cap, or no descending step from a non-stationary point)
     returns the best-so-far values with ``converged=False``.  A trace without
     usable phase modulation is flagged ``phase_identifiable=False`` and the
-    phase uncertainty is reported as the full model period (pi).  A
-    parameter with a component in the null space of a rank-deficient
-    Jacobian (e.g. s_min far below the electronic floor) has an unbounded
-    uncertainty: its variance and sigma are ``math.inf``.  A start
-    model whose curve is not finite (e.g. an overflowing level) or a
-    clearance, given or recorded, that is not finite and > 0 dB raises
-    ParameterDomainError.
+    phase uncertainty is reported as the full model period (pi).  The
+    uncertainties, the rank and the unbounded parameters all come from one
+    thin SVD J = U diag(s) V^T of the normalized Jacobian: the covariance is
+    ssr/dof * V diag(1/s^2) V^T over the s above _RANK_RTOL * s[0], and a
+    parameter with a component in a null row of V^T (e.g. s_min far below
+    the electronic floor) is not determined by the trace: its variance and
+    sigma are ``math.inf``.  A start model whose curve is not finite (e.g.
+    an overflowing level), a clearance, given or recorded, that is not
+    finite and > 0 dB, or no model for a trace that records no clearance
+    raises ParameterDomainError.
     """
     if len(trace) < 10 * _N_FREE:
         raise ParameterDomainError(
             f"need at least {10 * _N_FREE} samples to fit {_N_FREE} parameters, got {len(trace)}")
     opts = options or FitOptions()
     if model is None:
-        model = initial_guess(trace, clearance_db=trace.metadata.get("clearance_db", 14.0),
+        if "clearance_db" not in trace.metadata:
+            raise ParameterDomainError("the trace records no clearance_db; pass a model that sets it")
+        model = initial_guess(trace, clearance_db=trace.metadata["clearance_db"],
                               omega_norm=trace.metadata.get("omega_norm", 0.0),
                               jitter_sigma=trace.acquisition.lo_scan.jitter_sigma)
     floor = _floor(model.clearance_db)
@@ -279,25 +283,20 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None,
     p0 = np.array([model.s_min_db, model.s_max_db, model.theta0, model.scan_rate])
     p, jac, ssr, history, iterations, converged = _lm_minimize(
         p0, t, y, floor, model.jitter_sigma, opts)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    full_rank = sv[-1] > _RANK_RTOL * sv[0]
-    dof = max(len(trace) - _N_FREE, 1)
-    scale = ssr / dof
-    hess = jac.T @ jac
-    cov = scale * (np.linalg.inv(hess) if full_rank else np.linalg.pinv(hess))
-    if not full_rank:
-        # pinv gives the null directions zero variance; a parameter that
-        # moves along one is not determined by the trace at all
-        null = np.linalg.svd(jac, full_matrices=False)[2][sv <= _RANK_RTOL * sv[0]]
-        unbounded = np.abs(null).max(axis=0) > _RANK_RTOL
+    p, jac = _normalize(p, jac)
+    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    rank = int(np.count_nonzero(sv > _RANK_RTOL * sv[0]))  # s is descending
+    scaled = vt[:rank].T / sv[:rank]
+    cov = ssr / max(len(trace) - _N_FREE, 1) * (scaled @ scaled.T)
+    if rank < _N_FREE:
+        unbounded = np.abs(vt[rank:]).max(axis=0) > _RANK_RTOL
         cov[unbounded, unbounded] = math.inf
-    p, cov = _normalize(p, cov)
     sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
     # the phase is meaningful only if the modulation amplitude is established
     # well beyond its own uncertainty; a flat trace fits a small noise ripple
     modulation = p[1] - p[0]
     significant = modulation > 4.0 * math.hypot(sigmas[0], sigmas[1])
-    identifiable = full_rank and significant
+    identifiable = rank == _N_FREE and significant
     if not identifiable:
         sigmas[2] = math.pi  # phase unconstrained: report the full period
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from sqzlab import fit_trace, load_trace, min_max_levels
@@ -367,3 +368,22 @@ class TestUndeterminedLevel:
         assert code == 0
         assert "1 sigma unbounded" in out.splitlines()[0]
         assert out.splitlines()[1].endswith("dB (1 sigma)")
+
+    def test_text_warns_that_the_level_is_undetermined_not_that_the_trace_is_flat(
+            self, capsys, paths):
+        cfg, trace_path = paths
+        _, out, _ = run_cli(capsys, "fit", "--trace", str(trace_path), "--config", str(cfg))
+        assert out.splitlines()[-1].startswith("warning: the trace does not determine s_min,")
+        assert "flat trace" not in out
+
+
+def test_full_rank_fit_of_a_flat_trace_warns_flat_trace(capsys, config_path, tmp_path):
+    ref = tmp_path / "shot.csv"
+    run_cli(capsys, "synth", "--config", str(config_path), "--seed", "1", "--out", str(ref),
+            "--shot-reference")
+    result = fit_trace(load_trace(ref))
+    assert not result.phase_identifiable
+    assert np.isfinite(result.covariance).all()  # full rank: no unbounded parameter
+    _, out, _ = run_cli(capsys, "fit", "--trace", str(ref), "--config", str(config_path))
+    assert out.splitlines()[-1].startswith("warning: flat trace, phase not identifiable")
+    assert "does not determine" not in out

@@ -85,6 +85,14 @@ class TestCircuitNoise:
         with pytest.raises(ParameterDomainError):
             remove_circuit_noise(-20.0, 14.0)  # below the floor
 
+    @pytest.mark.parametrize("observed, clearance", [(0.0, -5.0), (-3.0, 0.0), (0.0, math.nan)])
+    def test_remove_rejects_the_clearances_apply_rejects(self, observed, clearance):
+        message = f"clearance must be > 0 dB, got {clearance}"
+        with pytest.raises(ParameterDomainError, match=message):
+            apply_circuit_noise(1.0, clearance)
+        with pytest.raises(ParameterDomainError, match=message):
+            remove_circuit_noise(observed, clearance)
+
 
 def _analytic_jitter(theta0, sigma, alpha, rho, x, omega_norm):
     """Gaussian moment identity: E[cos^2(t+d)] = (1 + exp(-2 s^2) cos 2t)/2."""

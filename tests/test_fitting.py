@@ -407,3 +407,66 @@ class TestUndeterminedLevel:
         assert 0.0 < result.s_max_sigma_db < 1.0
         assert not result.phase_identifiable
         assert result.parameter_sigmas[2] == math.pi
+
+
+def _fitted(result):
+    m = result.model
+    return np.array([m.s_min_db, m.s_max_db, m.theta0, m.scan_rate])
+
+
+def _correlation_scaled_gap(cov, expected):
+    """max |cov - expected| over sqrt(expected_ii * expected_jj)."""
+    scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
+    return float(np.max(np.abs(cov - expected) / scale))
+
+
+class TestCovariance:
+    """The covariance is ssr/dof * inv(J^T J) at the fitted, canonical
+    parameters, whichever of the equivalent parameterisations the fit ran in."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.12])
+    def test_matches_gauss_newton_on_a_central_difference_jacobian(self, jitter):
+        trace = _synth(seed=390, jitter=jitter)
+        result = fit_trace(trace, _perturbed_guess(jitter))
+        p = _fitted(result)
+        floor = 10.0 ** (-CLEARANCE / 10.0)
+
+        def model(q):
+            return _model_and_jacobian(q, trace.times, floor, jitter)[0]
+
+        steps = 1e-6 * np.maximum(np.abs(p), 1.0)
+        jac = np.column_stack([(model(p + h * e) - model(p - h * e)) / (2.0 * h)
+                               for h, e in zip(steps, np.eye(4))])
+        r = model(p) - trace.powers_db
+        expected = float(r @ r) / (len(trace) - 4) * np.linalg.inv(jac.T @ jac)
+        assert _correlation_scaled_gap(result.covariance, expected) < 1e-6
+        assert result.parameter_sigmas[:2] == pytest.approx(np.sqrt(np.diag(expected)[:2]),
+                                                           rel=1e-6)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.12])
+    @pytest.mark.parametrize("mirror", ["swapped levels", "negated rate"])
+    def test_equivalent_starts_give_the_canonical_fit(self, jitter, mirror):
+        trace = _synth(seed=391, jitter=jitter)
+        guess = _perturbed_guess(jitter)
+        canonical = fit_trace(trace, guess)
+        if mirror == "swapped levels":
+            start = replace(guess, s_min_db=guess.s_max_db, s_max_db=guess.s_min_db,
+                            theta0=guess.theta0 + math.pi / 2.0)
+        else:
+            start = replace(guess, theta0=-guess.theta0, scan_rate=-guess.scan_rate)
+        mirrored = fit_trace(trace, start)
+        assert mirrored.converged and canonical.converged
+        assert mirrored.levels.s_min_db == pytest.approx(canonical.levels.s_min_db, rel=1e-10)
+        assert mirrored.levels.s_max_db == pytest.approx(canonical.levels.s_max_db, rel=1e-10)
+        assert mirrored.model.scan_rate == pytest.approx(canonical.model.scan_rate, rel=1e-10)
+        assert _correlation_scaled_gap(mirrored.covariance, canonical.covariance) < 1e-10
+
+
+class TestRecordedClearance:
+    def test_default_fit_of_a_trace_without_clearance_is_a_domain_error(self):
+        text = serialize_trace(_synth(seed=392))
+        stripped = parse_trace("".join(line for line in text.splitlines(keepends=True)
+                                       if not line.startswith("# clearance_db=")))
+        assert "clearance_db" not in stripped.metadata
+        with pytest.raises(ParameterDomainError, match="records no clearance_db"):
+            fit_trace(stripped)
