@@ -40,6 +40,7 @@ from .opo import (
 
 GAIN_SCALE_BOX = (0.5, 1.5)
 EFFICIENCY_SCALE_BOX = (0.3, 1.0)
+LOSS_ONLY_TOLERANCE_DB = 0.1  # anti-squeezing misfit a loss-only explanation may leave
 _EDGE_GRID = np.arange(65.0)  # point indices of one box-edge scan round
 
 
@@ -64,9 +65,8 @@ def predict_levels(cavity: CavityParams, chain: DetectionChain, pump: PumpSpec,
     if not include_circuit_noise:
         return levels
     clearance = chain.circuit_noise_clearance_db
-    lo = float(apply_circuit_noise(levels.s_min, clearance))
-    hi = float(apply_circuit_noise(levels.s_max, clearance))
-    return VarianceLevels.from_db(lo, hi)
+    return VarianceLevels.from_db(apply_circuit_noise(levels.s_min, clearance),
+                                  apply_circuit_noise(levels.s_max, clearance))
 
 
 @dataclass(frozen=True)
@@ -251,15 +251,15 @@ class LossOnlyReport:
 
 
 def loss_only_explanation_check(measured: VarianceLevels, cavity: CavityParams,
-                                chain: DetectionChain, pump: PumpSpec, frequency_hz: float,
-                                tolerance_db: float = 0.1) -> LossOnlyReport:
+                                chain: DetectionChain, pump: PumpSpec,
+                                frequency_hz: float) -> LossOnlyReport:
     """Fit a single efficiency scale to the measured squeezing level and report
     the resulting anti-squeezing error.
 
     The squeezing level pins the efficiency scale in closed form: with
     S_min = 1 - 4*a*r*x / D+, D+ = (1 + x)^2 + 4 W^2, and the measured S_min
     recovered from the circuit-noise map, e = (1 - S_min_meas) * D+ / (4*a*r*x).
-    Feasible means the implied anti-squeezing agrees within ``tolerance_db``.
+    Feasible means the implied anti-squeezing agrees within LOSS_ONLY_TOLERANCE_DB.
     A pump at x = 0 or a squeezing level outside (floor, shot noise) raises
     ParameterDomainError.
     """
@@ -274,12 +274,12 @@ def loss_only_explanation_check(measured: VarianceLevels, cavity: CavityParams,
     e = (1.0 - s_min_underlying) * d_plus / (4.0 * alpha * rho * x)
     e = min(e, 1.0)  # efficiency cannot exceed the nominal chain
     levels = min_max_levels(e * alpha, rho, x, omega_norm)
-    s_max_pred_db = float(apply_circuit_noise(levels.s_max, clearance))
+    s_max_pred_db = apply_circuit_noise(levels.s_max, clearance)
     err = s_max_pred_db - measured.s_max_db
     return LossOnlyReport(
         efficiency_scale=float(e),
         s_max_predicted_db=s_max_pred_db,
         s_max_error_db=float(err),
-        feasible=abs(err) <= tolerance_db,
-        tolerance_db=tolerance_db,
+        feasible=abs(err) <= LOSS_ONLY_TOLERANCE_DB,
+        tolerance_db=LOSS_ONLY_TOLERANCE_DB,
     )

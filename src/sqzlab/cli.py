@@ -56,6 +56,11 @@ def _require_acquisition(cfg):
     return cfg.acquisition
 
 
+def _analysis_frequency(cfg, args) -> float:
+    """The [acquisition] centre frequency, else --frequency-hz."""
+    return cfg.acquisition.center_frequency if cfg.acquisition else args.frequency_hz
+
+
 def _finite(text: str, noun: str, context: str, where: str = "") -> float:
     """float(text), or a ConfigError "{where}non-numeric {noun}{context}" or
     "{where}{noun} must be finite, got ...{context}"."""
@@ -78,7 +83,7 @@ def _parse_level_pair(text: str) -> VarianceLevels:
 def _cmd_predict(args) -> int:
     cfg = load_config(args.config)
     p_th = threshold_power(cfg.cavity)
-    frequency = cfg.acquisition.center_frequency if cfg.acquisition else args.frequency_hz
+    frequency = _analysis_frequency(cfg, args)
     alpha, rho, x, omega_norm = analysis.operating_point(cfg.cavity, cfg.detection,
                                                          cfg.pump, frequency)
     levels = analysis.predict_levels(cfg.cavity, cfg.detection, cfg.pump, frequency)
@@ -143,11 +148,14 @@ def _uncertainty(sigma_db: float) -> str:
 
 
 def _cmd_fit(args) -> int:
-    cfg = load_config(args.config)
+    """Fit in the trace's recorded context; the config supplies a missing clearance."""
+    clearance = load_config(args.config).detection.circuit_noise_clearance_db
     trace = traceio.load_trace(args.trace)
-    guess = fitting.initial_guess(trace, clearance_db=cfg.detection.circuit_noise_clearance_db,
-                                  jitter_sigma=trace.acquisition.lo_scan.jitter_sigma)
-    result = fitting.fit_trace(trace, guess)
+    recorded = trace.metadata.setdefault("clearance_db", clearance)
+    if recorded != clearance:
+        raise ConfigError(f"the trace records clearance_db = {recorded} dB but the config "
+                          f"says clearance = {clearance} dB")
+    result = fitting.fit_trace(trace)
     if args.format == "json":
         payload = {
             "s_min_db": result.levels.s_min_db,
@@ -208,7 +216,7 @@ def _cmd_sweep(args) -> int:
     else:
         pumps = [PumpSpec(pump_power=parse_quantity(item.strip(), "power", "power", 0))
                  for item in args.powers.split(",")]
-    frequency = cfg.acquisition.center_frequency if cfg.acquisition else args.frequency_hz
+    frequency = _analysis_frequency(cfg, args)
     measured = _load_measured_csv(args.measured) if args.measured else None
     rows = analysis.sweep_pump(cfg.cavity, cfg.detection, pumps, frequency, measured)
     records = [{
@@ -243,7 +251,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_reconcile(args) -> int:
     cfg = load_config(args.config)
     measured = _parse_level_pair(args.measured)
-    frequency = cfg.acquisition.center_frequency if cfg.acquisition else args.frequency_hz
+    frequency = _analysis_frequency(cfg, args)
     result = analysis.reconcile_discrepancy(measured, cfg.cavity, cfg.detection,
                                             cfg.pump, frequency)
     loss_only = analysis.loss_only_explanation_check(measured, cfg.cavity, cfg.detection,
@@ -277,11 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("text", "json")):
+    def add_common(p, formats=("text", "json"), frequency=True):
         p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--frequency-hz", type=float, default=1e6, dest="frequency_hz",
-                       help="analysis frequency when the config has no [acquisition] block")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
+        if frequency:
+            p.add_argument("--frequency-hz", type=float, default=1e6, dest="frequency_hz",
+                           help="analysis frequency when the config has no [acquisition] block")
 
     p = sub.add_parser("predict", help="predicted squeezing/anti-squeezing levels")
     add_common(p)
@@ -290,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("synth", help="synthesize a scanned-phase noise trace")
-    add_common(p)
+    add_common(p, formats=(), frequency=False)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output trace file")
     p.add_argument("--shot-reference", action="store_true",
@@ -298,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("fit", help="fit a noise trace")
-    add_common(p)
+    add_common(p, frequency=False)
     p.add_argument("--trace", required=True, help="trace file to fit")
     p.add_argument("--report", choices=("text", "json"), dest="format",
                    default=argparse.SUPPRESS, help="alias for --format")

@@ -23,11 +23,23 @@ Conventions:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opo import ParameterDomainError, min_max_levels, quadrature_variance
+from .opo import ParameterDomainError, min_max_levels, quadrature_variance, to_db
+
+_REAL = (float, int, numbers.Real)  # float and int first: they skip the slow ABC check
+
+
+def circuit_noise_floor(clearance_db) -> float:
+    """Electronic floor n = 10^(-clearance/10), a linear variance relative to
+    shot noise.  The clearance must be a finite real > 0 dB; anything else
+    (a trace header may carry text) raises ParameterDomainError."""
+    if not (isinstance(clearance_db, _REAL) and 0.0 < clearance_db < math.inf):
+        raise ParameterDomainError(f"clearance must be finite and > 0 dB, got {clearance_db}")
+    return 10.0 ** (-clearance_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -51,14 +63,15 @@ class DetectionChain:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ParameterDomainError(f"{name} must be in (0, 1], got {v}")
-        if not self.circuit_noise_clearance_db > 0.0:
-            raise ParameterDomainError(
-                f"circuit_noise_clearance_db must be > 0, got {self.circuit_noise_clearance_db}")
+        try:
+            circuit_noise_floor(self.circuit_noise_clearance_db)
+        except ParameterDomainError as exc:
+            raise ParameterDomainError(f"circuit_noise_clearance_db: {exc}") from None
 
     @property
     def circuit_noise_floor(self) -> float:
         """Electronic floor as a linear variance relative to shot noise."""
-        return 10.0 ** (-self.circuit_noise_clearance_db / 10.0)
+        return circuit_noise_floor(self.circuit_noise_clearance_db)
 
 
 @dataclass(frozen=True)
@@ -157,27 +170,21 @@ def apply_circuit_noise(s_linear, clearance_db: float):
 
     Both the signal and the shot-noise reference acquire the same additive
     electronic floor n = 10^(-clearance/10); the observable is therefore
-    10*log10((s + n) / (1 + n)).  A scalar (Python, numpy or 0-d) gives a
-    numpy float64, an array an array of its shape.
+    10*log10((s + n) / (1 + n)).  Scalar/array contract of ``to_db``.
     """
-    if not clearance_db > 0.0:
-        raise ParameterDomainError(f"clearance must be > 0 dB, got {clearance_db}")
+    n = circuit_noise_floor(clearance_db)
     s = np.asarray(s_linear, dtype=float)
     if not (s > 0.0).all():
         raise ParameterDomainError("variance must be > 0")
-    n = 10.0 ** (-clearance_db / 10.0)
-    return 10.0 * np.log10((s + n) / (1.0 + n))
+    return to_db((s + n) / (1.0 + n))
 
 
 def remove_circuit_noise(observed_db, clearance_db: float):
     """Underlying linear variance from an observed level; inverse of
-    apply_circuit_noise.  Values at or below the floor (and NaN) raise, as
-    does a clearance that is not > 0 dB.  A scalar (Python, numpy or 0-d)
-    gives a Python float, an array an array of its shape."""
-    if not clearance_db > 0.0:
-        raise ParameterDomainError(f"clearance must be > 0 dB, got {clearance_db}")
+    apply_circuit_noise, with its clearance domain and the scalar/array
+    contract of ``to_db``.  Values at or below the floor (and NaN) raise."""
+    n = circuit_noise_floor(clearance_db)
     observed = np.asarray(observed_db, dtype=float)
-    n = 10.0 ** (-clearance_db / 10.0)
     s = 10.0 ** (observed / 10.0) * (1.0 + n) - n
     if not (s > 0.0).all():
         raise ParameterDomainError("observed level lies at or below the electronic floor")

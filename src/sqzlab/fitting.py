@@ -35,12 +35,11 @@ structure of Golub & Pereyra, 1973), so initial_guess is one regression.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detection import NoiseTrace
+from .detection import NoiseTrace, circuit_noise_floor
 from .opo import ParameterDomainError, VarianceLevels
 
 _LN10_OVER_10 = math.log(10.0) / 10.0
@@ -51,6 +50,10 @@ _SERIES_TOL = 1e-16  # largest dropped term of the jitter series, natural-log un
 _MAX_TERMS = 1 << 16  # binds only below sigma ~ 6.5e-5 rad with levels > 70 dB apart
 _RANK_RTOL = 1e-8  # singular values (and null-vector components) below this are zero
 _RATE_FLIP = np.array([1.0, 1.0, -1.0, -1.0])  # (theta0, rate) -> (-theta0, -rate)
+_MAX_ITERATIONS = 200  # LM iteration cap; the fit then returns converged=False
+_FTOL = 1e-12  # relative SSR decrease considered converged
+_XTOL = 1e-10  # max parameter step considered converged
+_LAMBDA0 = 1e-3  # initial LM damping
 
 
 @dataclass(frozen=True)
@@ -74,14 +77,6 @@ class FitModel:
     omega_norm: float = 0.0
     clearance_db: float = 14.0
     jitter_sigma: float = 0.0
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    max_iterations: int = 200
-    ftol: float = 1e-12     # relative SSR decrease considered converged
-    xtol: float = 1e-10     # max parameter step considered converged
-    lambda0: float = 1e-3   # initial LM damping
 
 
 @dataclass(frozen=True)
@@ -142,12 +137,12 @@ def _model_and_jacobian(p: np.ndarray, t: np.ndarray, floor: float, jitter: floa
     return model, jac
 
 
-def _lm_minimize(p0, t, y, floor, jitter, opts: FitOptions):
+def _lm_minimize(p0, t, y, floor, jitter):
     """Damped Gauss-Newton (Levenberg-Marquardt); SSR never increases across
     accepted steps.  Returns (p, jac, ssr, history, iterations, converged)
     with jac the Jacobian at p."""
     p = np.asarray(p0, dtype=float).copy()
-    lam = opts.lambda0
+    lam = _LAMBDA0
     with np.errstate(all="ignore"):
         model, jac = _model_and_jacobian(p, t, floor, jitter)
         r = model - y
@@ -157,7 +152,7 @@ def _lm_minimize(p0, t, y, floor, jitter, opts: FitOptions):
     history = [ssr]
     converged = False
     it = 0
-    for it in range(1, opts.max_iterations + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         grad = jac.T @ r
         hess = jac.T @ jac
         diag = np.diag(np.maximum(np.diag(hess), 1e-14))
@@ -188,7 +183,7 @@ def _lm_minimize(p0, t, y, floor, jitter, opts: FitOptions):
         p, r, ssr, jac = p_new, r_new, ssr_new, jac_new
         history.append(ssr)
         lam = max(lam / 3.0, 1e-14)
-        if rel_drop < opts.ftol or float(np.max(np.abs(step))) < opts.xtol:
+        if rel_drop < _FTOL or float(np.max(np.abs(step))) < _XTOL:
             converged = True
             break
     return p, jac, ssr, np.asarray(history), it, converged
@@ -209,14 +204,6 @@ def _normalize(p: np.ndarray, jac: np.ndarray):
     return p, jac
 
 
-def _floor(clearance_db: float) -> float:
-    """Linear electronic floor 10^(-clearance/10) for a finite clearance > 0 dB;
-    any other clearance (a header may carry text) raises ParameterDomainError."""
-    if not (isinstance(clearance_db, numbers.Real) and 0.0 < clearance_db < math.inf):
-        raise ParameterDomainError(f"clearance must be finite and > 0 dB, got {clearance_db}")
-    return 10.0 ** (-clearance_db / 10.0)
-
-
 def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.0,
                   jitter_sigma: float = 0.0) -> FitModel:
     """Closed-form start: regress the linear powers 10^(y/10)*(1+n) - n, which
@@ -232,7 +219,7 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
         raise ParameterDomainError(
             f"jitter_sigma = {jitter_sigma} rad washes out the phase modulation "
             "(exp(-2*sigma^2) underflows to 0), so the levels cannot be fitted")
-    floor = _floor(clearance_db)
+    floor = circuit_noise_floor(clearance_db)
     rate = trace.acquisition.lo_scan.rate
     phase = 2.0 * rate * trace.times
     design = np.column_stack((np.ones_like(phase), np.cos(phase), np.sin(phase)))
@@ -247,8 +234,7 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
                     jitter_sigma=jitter_sigma)
 
 
-def fit_trace(trace: NoiseTrace, model: FitModel | None = None,
-              options: FitOptions | None = None) -> FitResult:
+def fit_trace(trace: NoiseTrace, model: FitModel | None = None) -> FitResult:
     """Fit the scanned-phase model to a noise trace.
 
     ``model`` supplies the initial guess and the fixed context (clearance,
@@ -271,18 +257,16 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None,
     if len(trace) < 10 * _N_FREE:
         raise ParameterDomainError(
             f"need at least {10 * _N_FREE} samples to fit {_N_FREE} parameters, got {len(trace)}")
-    opts = options or FitOptions()
     if model is None:
         if "clearance_db" not in trace.metadata:
             raise ParameterDomainError("the trace records no clearance_db; pass a model that sets it")
         model = initial_guess(trace, clearance_db=trace.metadata["clearance_db"],
                               omega_norm=trace.metadata.get("omega_norm", 0.0),
                               jitter_sigma=trace.acquisition.lo_scan.jitter_sigma)
-    floor = _floor(model.clearance_db)
+    floor = circuit_noise_floor(model.clearance_db)
     t, y = trace.times, trace.powers_db
     p0 = np.array([model.s_min_db, model.s_max_db, model.theta0, model.scan_rate])
-    p, jac, ssr, history, iterations, converged = _lm_minimize(
-        p0, t, y, floor, model.jitter_sigma, opts)
+    p, jac, ssr, history, iterations, converged = _lm_minimize(p0, t, y, floor, model.jitter_sigma)
     p, jac = _normalize(p, jac)
     _, sv, vt = np.linalg.svd(jac, full_matrices=False)
     rank = int(np.count_nonzero(sv > _RANK_RTOL * sv[0]))  # s is descending

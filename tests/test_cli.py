@@ -120,8 +120,8 @@ class TestSynthFit:
         run_cli(capsys, "synth", "--config", str(config_path), "--seed", "8", "--out", str(trace_path))
         real_fit = cli_mod.fitting.fit_trace
 
-        def capped_fit(trace, model=None, options=None):
-            result = real_fit(trace, model, options)
+        def capped_fit(trace, model=None):
+            result = real_fit(trace, model)
             return dataclasses.replace(result, converged=False)
 
         monkeypatch.setattr(cli_mod.fitting, "fit_trace", capped_fit)
@@ -304,11 +304,28 @@ class TestFormatChoices:
         ("synth", ["--seed", "4", "--out", "unused.csv"]),
     ])
     def test_csv_is_a_usage_error_outside_sweep(self, capsys, config_path, command, extra):
+        # synth writes a trace file, not a report, so it has no --format at all
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(config_path), *extra, "--format", "csv"])
         captured = capsys.readouterr()
         assert exc.value.code == 1
-        assert "invalid choice: 'csv'" in captured.err
+        expected = ("unrecognized arguments: --format csv" if command == "synth"
+                    else "invalid choice: 'csv'")
+        assert expected in captured.err
+        assert captured.out == ""
+
+
+    @pytest.mark.parametrize("command, extra", [
+        ("synth", ["--seed", "4", "--out", "unused.csv"]),
+        ("fit", ["--trace", "unused.csv"]),
+    ])
+    def test_frequency_is_a_usage_error_where_no_frequency_is_read(self, capsys, config_path,
+                                                                     command, extra):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config_path), *extra, "--frequency-hz", "2e6"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --frequency-hz 2e6" in captured.err
         assert captured.out == ""
 
 
@@ -336,6 +353,47 @@ class TestFitFormat:
         assert default.levels.s_min_db == report["s_min_db"]
         assert default.levels.s_max_db == report["s_max_db"]
         assert default.s_min_sigma_db == report["s_min_sigma_db"]
+
+
+class TestFitContext:
+    """sqzlab fit reads the clearance from the trace header; the config fills in a
+    header that records none and must agree with one that does."""
+
+    @pytest.fixture
+    def paths(self, capsys, config_path, tmp_path):
+        cfg = tmp_path / "clear20.cfg"
+        cfg.write_text(config_path.read_text().replace("clearance = 14.0dB", "clearance = 20.0dB"))
+        trace_path = tmp_path / "trace.csv"  # records the bundled 14 dB
+        run_cli(capsys, "synth", "--config", str(config_path), "--seed", "42", "--out", str(trace_path))
+        return cfg, trace_path
+
+    def test_a_disagreeing_config_is_an_error(self, capsys, paths):
+        cfg, trace_path = paths
+        code, out, err = run_cli(capsys, "fit", "--trace", str(trace_path), "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err == ("error: the trace records clearance_db = 14.0 dB but the config "
+                       "says clearance = 20.0 dB\n")
+
+    def test_a_header_without_clearance_fits_at_the_config_clearance(self, capsys, paths):
+        cfg, trace_path = paths
+        lines = trace_path.read_text().splitlines(keepends=True)
+        stripped = trace_path.with_name("stripped.csv")
+        stripped.write_text("".join(line for line in lines
+                                    if not line.startswith("# clearance_db=")))
+        recorded = trace_path.with_name("recorded.csv")
+        recorded.write_text("".join("# clearance_db=20.0\n" if line.startswith("# clearance_db=")
+                                    else line for line in lines))
+        reports = []
+        for path in (stripped, recorded):
+            code, out, _ = run_cli(capsys, "fit", "--trace", str(path), "--config", str(cfg),
+                                   "--format", "json")
+            assert code == 0
+            reports.append(json.loads(out))
+        assert reports[0] == reports[1]
+        default = fit_trace(load_trace(recorded))
+        assert default.model.clearance_db == 20.0
+        assert reports[0]["s_min_db"] == default.levels.s_min_db
 
 
 def _reject_constant(name):

@@ -127,6 +127,12 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="dimensionless"):
             parse_config(bad)
 
+    def test_out_of_domain_clearance_is_reported_on_its_line(self):
+        bad = GOOD.replace("clearance = 14.0dB", "clearance = 0dB")
+        with pytest.raises(ConfigError, match=r"^line 10: circuit_noise_clearance_db: "
+                                              r"clearance must be finite and > 0 dB, got 0.0$"):
+            parse_config(bad)
+
     def test_duplicate_key(self):
         bad = GOOD.replace("T = 0.10", "T = 0.10\nT = 0.2")
         with pytest.raises(ConfigError, match="duplicate key 'T'"):

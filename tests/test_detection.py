@@ -41,8 +41,11 @@ class TestDetectionEfficiency:
             DetectionChain(0.0, 0.91, 1.0, 14.0)
         with pytest.raises(ParameterDomainError, match="visibility"):
             DetectionChain(0.99, 1.2, 1.0, 14.0)
-        with pytest.raises(ParameterDomainError, match="clearance"):
-            DetectionChain(0.99, 0.91, 1.0, 0.0)
+        # the domain of circuit_noise_floor, so every chain's trace can be fitted
+        for clearance in (0.0, -5.0, math.inf, math.nan):
+            with pytest.raises(ParameterDomainError, match="^circuit_noise_clearance_db: clearance "
+                                                           f"must be finite and > 0 dB, got {clearance}$"):
+                DetectionChain(0.99, 0.91, 1.0, clearance)
 
 
 class TestCircuitNoise:
@@ -85,9 +88,10 @@ class TestCircuitNoise:
         with pytest.raises(ParameterDomainError):
             remove_circuit_noise(-20.0, 14.0)  # below the floor
 
-    @pytest.mark.parametrize("observed, clearance", [(0.0, -5.0), (-3.0, 0.0), (0.0, math.nan)])
+    @pytest.mark.parametrize("observed, clearance",
+                             [(0.0, -5.0), (-3.0, 0.0), (0.0, math.nan), (0.0, math.inf)])
     def test_remove_rejects_the_clearances_apply_rejects(self, observed, clearance):
-        message = f"clearance must be > 0 dB, got {clearance}"
+        message = f"clearance must be finite and > 0 dB, got {clearance}"
         with pytest.raises(ParameterDomainError, match=message):
             apply_circuit_noise(1.0, clearance)
         with pytest.raises(ParameterDomainError, match=message):

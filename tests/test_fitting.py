@@ -10,7 +10,6 @@ from sqzlab import (
     AcquisitionSettings,
     DetectionChain,
     FitModel,
-    FitOptions,
     NoiseTrace,
     ParameterDomainError,
     PhaseScan,
@@ -24,6 +23,7 @@ from sqzlab import (
     serialize_trace,
     synthesize_trace,
 )
+from sqzlab import fitting
 from sqzlab.fitting import _model_and_jacobian
 
 ALPHA, RHO, X, OMEGA = 0.819819, 0.8525149190110828, 0.5656277572369306, 0.10720434894893513
@@ -111,9 +111,10 @@ class TestFitMechanics:
         assert result.s_min_sigma_db == pytest.approx(math.sqrt(result.covariance[0, 0]))
         assert result.s_max_sigma_db == pytest.approx(math.sqrt(result.covariance[1, 1]))
 
-    def test_iteration_cap_reports_nonconvergence(self):
+    def test_iteration_cap_reports_nonconvergence(self, monkeypatch):
         trace = _synth(seed=313)
-        result = fit_trace(trace, _perturbed_guess(), FitOptions(max_iterations=1))
+        monkeypatch.setattr(fitting, "_MAX_ITERATIONS", 1)
+        result = fit_trace(trace, _perturbed_guess())
         assert not result.converged
         assert result.iterations == 1
         assert np.isfinite(result.levels.s_min_db)
@@ -379,11 +380,12 @@ class TestDefaultGuess:
 
 
 class TestStationarityCheck:
-    def test_no_descent_from_a_non_stationary_start_is_not_convergence(self):
+    def test_no_descent_from_a_non_stationary_start_is_not_convergence(self, monkeypatch):
         trace = _synth(seed=301)
+        monkeypatch.setattr(fitting, "_LAMBDA0", 1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            result = fit_trace(trace, _perturbed_guess(), FitOptions(lambda0=1e300))
+            result = fit_trace(trace, _perturbed_guess())
         assert not result.converged
         assert result.iterations == 1
         assert len(result.objective_history) == 1  # no step accepted: still at the start
