@@ -50,12 +50,6 @@ def _fmt(value) -> str:
     return f"{value:.4g}"
 
 
-def _require_acquisition(cfg):
-    if cfg.acquisition is None:
-        raise ConfigError("this command needs [acquisition] (and optionally [scan]) in the config")
-    return cfg.acquisition
-
-
 def _analysis_frequency(cfg, args) -> float:
     """The [acquisition] centre frequency, else --frequency-hz."""
     return cfg.acquisition.center_frequency if cfg.acquisition else args.frequency_hz
@@ -124,13 +118,14 @@ def _cmd_predict(args) -> int:
 
 def _cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    acq = _require_acquisition(cfg)
+    if cfg.acquisition is None:
+        raise ConfigError("this command needs [acquisition] (and optionally [scan]) in the config")
     if args.shot_reference:
-        trace = synthesize_shot_reference(acq, cfg.detection, args.seed)
+        trace = synthesize_shot_reference(cfg.acquisition, cfg.detection, args.seed)
     else:
         point = analysis.operating_point(cfg.cavity, cfg.detection, cfg.pump,
-                                         acq.center_frequency)
-        trace = synthesize_trace(*point, cfg.detection, acq, args.seed)
+                                         cfg.acquisition.center_frequency)
+        trace = synthesize_trace(*point, cfg.detection, cfg.acquisition, args.seed)
     traceio.save_trace(trace, args.out)
     print(f"wrote {len(trace)} samples to {args.out}")
     return 0
@@ -310,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a noise trace")
     add_common(p, frequency=False)
     p.add_argument("--trace", required=True, help="trace file to fit")
-    p.add_argument("--report", choices=("text", "json"), dest="format",
-                   default=argparse.SUPPRESS, help="alias for --format")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("sweep", help="pump sweep table")

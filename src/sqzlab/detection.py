@@ -68,11 +68,6 @@ class DetectionChain:
         except ParameterDomainError as exc:
             raise ParameterDomainError(f"circuit_noise_clearance_db: {exc}") from None
 
-    @property
-    def circuit_noise_floor(self) -> float:
-        """Electronic floor as a linear variance relative to shot noise."""
-        return circuit_noise_floor(self.circuit_noise_clearance_db)
-
 
 @dataclass(frozen=True)
 class PhaseScan:
@@ -93,9 +88,6 @@ class PhaseScan:
     def rate(self) -> float:
         """Phase scan rate, rad/s."""
         return 2.0 * math.pi / self.period
-
-    def phase(self, t):
-        return self.theta0 + self.rate * np.asarray(t, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -223,15 +215,13 @@ def synthesize_trace(alpha: float, rho: float, x: float, omega_norm: float,
     """
     rng = np.random.default_rng(rng_seed)
     t = acq.times
-    theta = acq.lo_scan.phase(t)
+    theta = acq.lo_scan.theta0 + acq.lo_scan.rate * t
     if acq.lo_scan.jitter_sigma > 0.0:
         theta = theta + rng.normal(0.0, acq.lo_scan.jitter_sigma, size=t.size)
     s = quadrature_variance(theta, alpha, rho, x, omega_norm)
-    n = chain.circuit_noise_floor
-    mean_power = (s + n) / (1.0 + n)
     k = acq.estimator_dof
     factors = rng.chisquare(k, size=t.size) / k
-    powers_db = 10.0 * np.log10(mean_power * factors)
+    powers_db = apply_circuit_noise(s, chain.circuit_noise_clearance_db) + to_db(factors)
     meta = {
         "alpha": alpha, "rho": rho, "x": x, "omega_norm": omega_norm,
         "clearance_db": chain.circuit_noise_clearance_db, "seed": rng_seed,

@@ -249,21 +249,28 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None) -> FitResult:
     ssr/dof * V diag(1/s^2) V^T over the s above _RANK_RTOL * s[0], and a
     parameter with a component in a null row of V^T (e.g. s_min far below
     the electronic floor) is not determined by the trace: its variance and
-    sigma are ``math.inf``.  A start model whose curve is not finite (e.g.
-    an overflowing level), a clearance, given or recorded, that is not
-    finite and > 0 dB, or no model for a trace that records no clearance
-    raises ParameterDomainError.
+    sigma are ``math.inf``.  ParameterDomainError is raised for a start model
+    whose curve is not finite (e.g. an overflowing level) or whose clearance
+    or jitter differs from the trace's record, for a clearance not finite and
+    > 0 dB, and when neither the model nor the trace gives a clearance.
     """
     if len(trace) < 10 * _N_FREE:
         raise ParameterDomainError(
             f"need at least {10 * _N_FREE} samples to fit {_N_FREE} parameters, got {len(trace)}")
+    jitter = trace.acquisition.lo_scan.jitter_sigma
     if model is None:
         if "clearance_db" not in trace.metadata:
             raise ParameterDomainError("the trace records no clearance_db; pass a model that sets it")
         model = initial_guess(trace, clearance_db=trace.metadata["clearance_db"],
                               omega_norm=trace.metadata.get("omega_norm", 0.0),
-                              jitter_sigma=trace.acquisition.lo_scan.jitter_sigma)
+                              jitter_sigma=jitter)
     floor = circuit_noise_floor(model.clearance_db)
+    recorded = trace.metadata.get("clearance_db", model.clearance_db)
+    for name, given, traced, unit in (("clearance_db", model.clearance_db, recorded, "dB"),
+                                      ("jitter_sigma", model.jitter_sigma, jitter, "rad")):
+        if given != traced:
+            raise ParameterDomainError(f"the model's {name} = {given} {unit} differs from "
+                                       f"the trace's recorded {name} = {traced} {unit}")
     t, y = trace.times, trace.powers_db
     p0 = np.array([model.s_min_db, model.s_max_db, model.theta0, model.scan_rate])
     p, jac, ssr, history, iterations, converged = _lm_minimize(p0, t, y, floor, model.jitter_sigma)
@@ -300,12 +307,3 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None) -> FitResult:
         phase_identifiable=bool(identifiable),
         objective_history=history,
     )
-
-
-def extrema_levels(trace: NoiseTrace, clearance_db: float,
-                   jitter_sigma: float = 0.0) -> VarianceLevels:
-    """Cross-check mode: levels from the closed-form regression of
-    initial_guess alone, without the scan-model fit.  Coarser than fit_trace;
-    useful as a sanity check."""
-    guess = initial_guess(trace, clearance_db=clearance_db, jitter_sigma=jitter_sigma)
-    return VarianceLevels.from_db(guess.s_min_db, guess.s_max_db)

@@ -7,8 +7,8 @@ SI units (watts, meters, radians per second).  Decibels and bench units
 The central quantity is the quadrature variance of the OPO output relative
 to shot noise,
 
-    S(theta) = 1 + 4*a*r*x * [ cos^2(theta) / ((1 - x)^2 + 4*W^2)
-                             - sin^2(theta) / ((1 + x)^2 + 4*W^2) ],
+    S(theta) = s_max*cos^2(theta) + s_min*sin^2(theta),
+    s_max, s_min = 1 +- 4*a*r*x / ((1 -+ x)^2 + 4*W^2),
 
 with ``a`` the detection efficiency, ``r`` the cavity escape efficiency,
 ``x`` the pump parameter and ``W`` the sideband frequency normalised by the
@@ -118,14 +118,11 @@ class PumpSpec:
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """Sideband analysis point: angular frequency and its detuning parameter."""
+    """Sideband analysis point: the detuning parameter omega / gamma."""
 
-    analysis_frequency: float  # rad/s
-    detuning_parameter: float  # omega / gamma, dimensionless
+    detuning_parameter: float  # dimensionless
 
     def __post_init__(self):
-        if not self.analysis_frequency > 0.0:
-            raise ParameterDomainError(f"analysis_frequency must be > 0, got {self.analysis_frequency}")
         if not self.detuning_parameter >= 0.0:
             raise ParameterDomainError(f"detuning_parameter must be >= 0, got {self.detuning_parameter}")
 
@@ -161,10 +158,7 @@ def threshold_power(cavity: CavityParams) -> float:
 
 def escape_efficiency(cavity: CavityParams) -> float:
     """Fraction T / (T + L) of intracavity squeezing that leaves through the coupler."""
-    tl = cavity.coupler_transmittance + cavity.intracavity_loss
-    if tl == 0.0:
-        raise ParameterDomainError("T + L must be > 0")
-    return cavity.coupler_transmittance / tl
+    return cavity.coupler_transmittance / (cavity.coupler_transmittance + cavity.intracavity_loss)
 
 
 def cavity_decay_rate(cavity: CavityParams) -> float:
@@ -182,9 +176,7 @@ def detuning_parameter(cavity: CavityParams, omega: float) -> float:
 
 def spectral_point(cavity: CavityParams, frequency_hz: float) -> SpectralPoint:
     """Build a SpectralPoint from an analysis frequency in Hz (omega = 2*pi*f)."""
-    omega = 2.0 * math.pi * frequency_hz
-    return SpectralPoint(analysis_frequency=omega,
-                         detuning_parameter=detuning_parameter(cavity, omega))
+    return SpectralPoint(detuning_parameter=detuning_parameter(cavity, 2.0 * math.pi * frequency_hz))
 
 
 def pump_parameter(pump: PumpSpec, threshold: float | None = None) -> float:
@@ -216,31 +208,17 @@ def gain_from_pump_parameter(x: float) -> float:
     return 1.0 / (1.0 - x) ** 2
 
 
-def _check_operating_point(alpha: float, rho: float, x: float, omega_norm: float) -> None:
-    """Domain of the variance model; NaN fails every check."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterDomainError(f"detection efficiency must be in [0, 1], got {alpha}")
-    if not 0.0 <= rho <= 1.0:
-        raise ParameterDomainError(f"escape efficiency must be in [0, 1], got {rho}")
-    if not 0.0 <= x < 1.0:
-        raise ParameterDomainError(f"pump parameter must be in [0, 1), got {x}")
-    if not omega_norm >= 0.0:
-        raise ParameterDomainError(f"detuning parameter must be >= 0, got {omega_norm}")
-
-
 def quadrature_variance(theta, alpha: float, rho: float, x: float, omega_norm: float):
-    """Quadrature variance S(theta) relative to shot noise.
+    """Quadrature variance S(theta) relative to shot noise, from the extremal
+    pair (and domain) of ``min_max_levels``: s_max*cos^2 + s_min*sin^2.
 
     theta may be a scalar or array (radians).  alpha and rho are the
     detection and escape efficiencies in [0, 1], x the pump parameter in
     [0, 1), omega_norm the detuning parameter (>= 0).
     """
-    _check_operating_point(alpha, rho, x, omega_norm)
-    theta = np.asarray(theta, dtype=float) if np.ndim(theta) else theta
-    w2 = 4.0 * omega_norm * omega_norm
+    levels = min_max_levels(alpha, rho, x, omega_norm)
     c2 = np.cos(theta) ** 2
-    lobe = c2 / ((1.0 - x) ** 2 + w2) - (1.0 - c2) / ((1.0 + x) ** 2 + w2)
-    return 1.0 + 4.0 * alpha * rho * x * lobe
+    return levels.s_max * c2 + levels.s_min * (1.0 - c2)
 
 
 def min_max_levels(alpha: float, rho: float, x: float, omega_norm: float) -> VarianceLevels:
@@ -250,9 +228,16 @@ def min_max_levels(alpha: float, rho: float, x: float, omega_norm: float) -> Var
         s_min = ((1-x)^2 + 4x(1 - a*r) + 4 W^2) / ((1+x)^2 + 4 W^2),
     which keeps s_min accurate (and s_min*s_max = 1 at unit efficiency, zero
     detuning) even for x close to 1, where the direct 1 - 4arx/D form loses
-    most of its significant digits.
+    most of its significant digits.  NaN fails every domain check.
     """
-    _check_operating_point(alpha, rho, x, omega_norm)
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterDomainError(f"detection efficiency must be in [0, 1], got {alpha}")
+    if not 0.0 <= rho <= 1.0:
+        raise ParameterDomainError(f"escape efficiency must be in [0, 1], got {rho}")
+    if not 0.0 <= x < 1.0:
+        raise ParameterDomainError(f"pump parameter must be in [0, 1), got {x}")
+    if not omega_norm >= 0.0:
+        raise ParameterDomainError(f"detuning parameter must be >= 0, got {omega_norm}")
     w2 = 4.0 * omega_norm * omega_norm
     ar = alpha * rho
     s_max = ((1.0 - x) ** 2 + w2 + 4.0 * ar * x) / ((1.0 - x) ** 2 + w2)

@@ -87,14 +87,6 @@ class TestSynthFit:
         assert abs(report["s_max_db"] - truth.s_max_db) < 2 * report["s_max_sigma_db"]
         assert report["uncertainty_convention"] == "1-sigma"
 
-    def test_fit_report_alias(self, capsys, config_path, tmp_path):
-        trace_path = tmp_path / "trace.csv"
-        run_cli(capsys, "synth", "--config", str(config_path), "--seed", "3", "--out", str(trace_path))
-        code, out, _ = run_cli(capsys, "fit", "--trace", str(trace_path),
-                               "--config", str(config_path), "--report", "json")
-        assert code == 0
-        assert set(json.loads(out)) >= {"s_min_db", "s_max_db", "residual_rms_db", "converged"}
-
     def test_fit_text_report(self, capsys, config_path, tmp_path):
         trace_path = tmp_path / "trace.csv"
         run_cli(capsys, "synth", "--config", str(config_path), "--seed", "9", "--out", str(trace_path))
@@ -143,6 +135,17 @@ class TestSweep:
         smin = [float(ln.split(",")[3]) for ln in lines[1:]]
         assert all(b > a for a, b in zip(smax, smax[1:]))
         assert all(b < a for a, b in zip(smin, smin[1:]))
+
+    def test_text_table_rounds_to_four_significant_digits(self, capsys, config_path):
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(config_path),
+                               "--powers", "20mW,61mW,200mW")
+        assert code == 0
+        assert out.splitlines() == [
+            "power_mw,gain,x,s_min_db,s_max_db,measured_s_min_db,measured_s_max_db,valid",
+            "20,2.485,0.3657,-3.325,5.159,,,true",
+            "61,7.658,0.6386,-4.606,10.46,,,true",
+            "200,,,,,,,false",
+        ]
 
     def test_measured_attachment(self, capsys, config_path, tmp_path):
         measured = tmp_path / "measured.csv"

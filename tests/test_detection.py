@@ -19,6 +19,7 @@ from sqzlab import (
     synthesize_shot_reference,
     synthesize_trace,
 )
+from sqzlab.detection import circuit_noise_floor
 
 ALPHA, RHO, X, OMEGA = 0.819819, 0.8525149190110828, 0.5656277572369306, 0.10720434894893513
 
@@ -204,7 +205,7 @@ class TestSynthesis:
         acq = _acq(samples=50_000, sweep=5.0, period=0.25, rbw=1e5, vbw=1e5)
         trace = synthesize_trace(ALPHA, RHO, X, OMEGA, chain, acq, 99)
         linear = 10.0 ** (trace.powers_db / 10.0)
-        n = chain.circuit_noise_floor
+        n = circuit_noise_floor(chain.circuit_noise_clearance_db)
         thetas = np.linspace(0.0, math.pi, 10_001)
         target = np.mean((quadrature_variance(thetas, ALPHA, RHO, X, OMEGA) + n) / (1.0 + n))
         assert float(np.mean(linear)) == pytest.approx(float(target), rel=0.01)
@@ -218,10 +219,11 @@ class TestSynthesis:
         assert rel_sd == pytest.approx(math.sqrt(2.0 / 6667.0), rel=0.05)
 
     def test_jitter_increases_scatter_about_the_mean_curve(self, chain):
-        n = chain.circuit_noise_floor
+        n = circuit_noise_floor(chain.circuit_noise_clearance_db)
 
         def residual_std(trace):
-            theta = trace.acquisition.lo_scan.phase(trace.times)
+            scan = trace.acquisition.lo_scan
+            theta = scan.theta0 + scan.rate * trace.times
             s = quadrature_variance(theta, ALPHA, RHO, X, OMEGA)
             mean_db = 10.0 * np.log10((s + n) / (1.0 + n))
             return float(np.std(trace.powers_db - mean_db))

@@ -13,7 +13,6 @@ from sqzlab import (
     NoiseTrace,
     ParameterDomainError,
     PhaseScan,
-    extrema_levels,
     fit_trace,
     initial_guess,
     load_config,
@@ -159,9 +158,9 @@ class TestFlatTrace:
 class TestExtremaCrossCheck:
     def test_percentile_mode_agrees_roughly(self):
         trace = _synth(seed=330)
-        levels = extrema_levels(trace, clearance_db=CLEARANCE)
-        assert levels.s_min_db == pytest.approx(TRUTH.s_min_db, abs=0.5)
-        assert levels.s_max_db == pytest.approx(TRUTH.s_max_db, abs=0.5)
+        guess = initial_guess(trace, clearance_db=CLEARANCE)
+        assert guess.s_min_db == pytest.approx(TRUTH.s_min_db, abs=0.5)
+        assert guess.s_max_db == pytest.approx(TRUTH.s_max_db, abs=0.5)
 
 
 def _trapezoid_jitter_average(p, t, floor, sigma, points=20001):
@@ -354,12 +353,6 @@ class TestClosedFormGuess:
         assert guess.s_min_db <= guess.s_max_db
         assert 0.0 <= guess.theta0 < math.pi
 
-    def test_extrema_levels_use_the_regression(self):
-        trace = _synth(seed=362, jitter=0.12)
-        guess = initial_guess(trace, clearance_db=CLEARANCE, jitter_sigma=0.12)
-        levels = extrema_levels(trace, clearance_db=CLEARANCE, jitter_sigma=0.12)
-        assert (levels.s_min_db, levels.s_max_db) == (guess.s_min_db, guess.s_max_db)
-
 
 class TestDefaultGuess:
     def test_default_fit_records_the_trace_detuning(self, config_path):
@@ -472,3 +465,29 @@ class TestRecordedClearance:
         assert "clearance_db" not in stripped.metadata
         with pytest.raises(ParameterDomainError, match="records no clearance_db"):
             fit_trace(stripped)
+
+
+class TestFitContext:
+    def test_a_start_model_with_another_clearance_is_a_domain_error(self):
+        trace = _synth(seed=393, jitter=0.12)
+        model = replace(initial_guess(trace, CLEARANCE, OMEGA, 0.12), clearance_db=20.0)
+        with pytest.raises(ParameterDomainError) as info:
+            fit_trace(trace, model)
+        assert str(info.value) == ("the model's clearance_db = 20.0 dB differs from "
+                                   "the trace's recorded clearance_db = 14.0 dB")
+
+    def test_a_start_model_with_another_jitter_is_a_domain_error(self):
+        trace = _synth(seed=394, jitter=0.12)
+        model = initial_guess(trace, CLEARANCE, OMEGA)
+        with pytest.raises(ParameterDomainError) as info:
+            fit_trace(trace, model)
+        assert str(info.value) == ("the model's jitter_sigma = 0.0 rad differs from "
+                                   "the trace's recorded jitter_sigma = 0.12 rad")
+
+    def test_a_trace_without_clearance_takes_the_model_clearance(self):
+        trace = _synth(seed=395, jitter=0.12)
+        stripped = NoiseTrace(trace.times, trace.powers_db, trace.acquisition,
+                              metadata={k: v for k, v in trace.metadata.items() if k != "clearance_db"})
+        model = initial_guess(trace, CLEARANCE, OMEGA, 0.12)
+        got, want = fit_trace(stripped, model), fit_trace(trace, model)
+        assert (got.levels, got.iterations) == (want.levels, want.iterations)
