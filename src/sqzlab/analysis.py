@@ -31,6 +31,7 @@ from .opo import (
     PumpSpec,
     VarianceLevels,
     escape_efficiency,
+    extremal_variances,
     gain_from_pump_parameter,
     min_max_levels,
     pump_parameter,
@@ -149,10 +150,7 @@ def _scaled_prediction_db(gain_scale, efficiency_scale, nominal_gain: float, alp
     """Observed (s_min_db, s_max_db) with the gain and the detection efficiency
     scaled; the scales may be arrays that broadcast together."""
     x = 1.0 - 1.0 / np.sqrt(np.maximum(gain_scale * nominal_gain, 1.0))
-    w2 = 4.0 * omega_norm * omega_norm
-    ar = efficiency_scale * alpha * rho
-    s_max = ((1.0 - x) ** 2 + w2 + 4.0 * ar * x) / ((1.0 - x) ** 2 + w2)
-    s_min = ((1.0 - x) ** 2 + 4.0 * x * (1.0 - ar) + w2) / ((1.0 + x) ** 2 + w2)
+    s_min, s_max = extremal_variances(efficiency_scale * alpha, rho, x, omega_norm)
     return apply_circuit_noise(s_min, clearance_db), apply_circuit_noise(s_max, clearance_db)
 
 

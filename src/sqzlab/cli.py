@@ -8,6 +8,7 @@ Subcommands::
     sqzlab sweep     --config cfg --gains ... | --powers ... pump sweep table
     sqzlab reconcile --config cfg --measured smin,smax       discrepancy solve
 
+Numbers in options and measured CSVs follow the config grammar (parse_quantity).
 Exit codes: 0 success, 1 usage/parse error, 2 fit non-convergence.
 Human-readable output rounds to 4 significant digits; --format json emits
 full precision with a stable key set.
@@ -51,27 +52,10 @@ def _fmt(value) -> str:
 
 
 def _analysis_frequency(cfg, args) -> float:
-    """The [acquisition] centre frequency, else --frequency-hz."""
-    return cfg.acquisition.center_frequency if cfg.acquisition else args.frequency_hz
-
-
-def _finite(text: str, noun: str, context: str, where: str = "") -> float:
-    """float(text), or a ConfigError "{where}non-numeric {noun}{context}" or
-    "{where}{noun} must be finite, got ...{context}"."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"{where}non-numeric {noun}{context}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}{noun} must be finite, got {value}{context}")
-    return value
-
-
-def _parse_level_pair(text: str) -> VarianceLevels:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"expected 'smin_db,smax_db', got {text!r}")
-    return VarianceLevels.from_db(*(_finite(part, "level", f" in {text!r}") for part in parts))
+    """--frequency-hz if given, else the [acquisition] centre frequency, else 1 MHz."""
+    if args.frequency_hz is not None:
+        return parse_quantity(args.frequency_hz.strip(), "bare", "frequency_hz", "--frequency-hz")
+    return cfg.acquisition.center_frequency if cfg.acquisition else 1e6
 
 
 def _cmd_predict(args) -> int:
@@ -195,8 +179,8 @@ def _load_measured_csv(path):
             parts = line.split(",")
             if len(parts) != 3:
                 raise ConfigError(f"{path}:{lineno}: expected 'power_mw,s_min_db,s_max_db'")
-            power_mw, lo, hi = (_finite(p, "field", f" in {line!r}", f"{path}:{lineno}: ")
-                                for p in parts)
+            power_mw, lo, hi = (parse_quantity(part.strip(), "bare", key, f"{path}:{lineno}")
+                                for part, key in zip(parts, ("power_mw", "s_min_db", "s_max_db")))
             rows.append((power_mw * 1e-3, VarianceLevels.from_db(lo, hi)))
     return rows
 
@@ -206,10 +190,10 @@ def _cmd_sweep(args) -> int:
     if bool(args.gains) == bool(args.powers):
         raise ConfigError("provide exactly one of --gains or --powers")
     if args.gains:
-        pumps = [PumpSpec(parametric_gain=_finite(item, f"gain {item!r}", " in --gains"))
+        pumps = [PumpSpec(parametric_gain=parse_quantity(item.strip(), "bare", "gain", "--gains"))
                  for item in args.gains.split(",")]
     else:
-        pumps = [PumpSpec(pump_power=parse_quantity(item.strip(), "power", "power", 0))
+        pumps = [PumpSpec(pump_power=parse_quantity(item.strip(), "power", "power", "--powers"))
                  for item in args.powers.split(",")]
     frequency = _analysis_frequency(cfg, args)
     measured = _load_measured_csv(args.measured) if args.measured else None
@@ -245,7 +229,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_reconcile(args) -> int:
     cfg = load_config(args.config)
-    measured = _parse_level_pair(args.measured)
+    parts = args.measured.split(",")
+    if len(parts) != 2:
+        raise ConfigError(f"expected 'smin_db,smax_db', got {args.measured!r}")
+    measured = VarianceLevels.from_db(*(parse_quantity(part.strip(), "bare", key, "--measured")
+                                        for part, key in zip(parts, ("s_min_db", "s_max_db"))))
     frequency = _analysis_frequency(cfg, args)
     result = analysis.reconcile_discrepancy(measured, cfg.cavity, cfg.detection,
                                             cfg.pump, frequency)
@@ -285,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         if formats:
             p.add_argument("--format", choices=formats, default="text")
         if frequency:
-            p.add_argument("--frequency-hz", type=float, default=1e6, dest="frequency_hz",
-                           help="analysis frequency when the config has no [acquisition] block")
+            p.add_argument("--frequency-hz",
+                           help="analysis frequency in Hz (default: [acquisition] f, else 1e6)")
 
     p = sub.add_parser("predict", help="predicted squeezing/anti-squeezing levels")
     add_common(p)

@@ -112,29 +112,29 @@ _SCHEMA = {
 }
 
 
-def parse_quantity(raw: str, unit_kind: str, key: str, lineno: int) -> float:
+def parse_quantity(raw: str, unit_kind: str, key: str, where: str) -> float:
     """Parse one finite number with an optional unit suffix into SI units.
 
     unit_kind is one of "length", "inv_watt", "power", "db", "frequency",
     "time", "angle", "bare" (dimensionless) or "count" (dimensionless, an
-    int when integral); key and lineno only label the ConfigError raised
-    for a malformed or non-finite value, e.g.
-    parse_quantity("61mW", "power", "power", 0) == 0.061.
+    int when integral); key and the location where ("line 3", "--gains")
+    label the ConfigError raised for a malformed or non-finite value, e.g.
+    parse_quantity("61mW", "power", "power", "--powers") == 0.061.
     """
     match = _NUMBER_RE.match(raw)
     if not match:
-        raise ConfigError(f"line {lineno}: value of '{key}' is not a number: {raw!r}")
+        raise ConfigError(f"{where}: value of '{key}' is not a number: {raw!r}")
     number, suffix = float(match.group(1)), match.group(2).strip()
     table = _UNITS[unit_kind]
     if suffix not in table:
         if "" in table:
-            raise ConfigError(f"line {lineno}: '{key}' is dimensionless, unexpected suffix {suffix!r}")
+            raise ConfigError(f"{where}: '{key}' is dimensionless, unexpected suffix {suffix!r}")
         expected = ", ".join(sorted(table))
         raise ConfigError(
-            f"line {lineno}: bad unit suffix {suffix!r} for '{key}' (expected one of: {expected})")
+            f"{where}: bad unit suffix {suffix!r} for '{key}' (expected one of: {expected})")
     value = number * table[suffix]
     if not math.isfinite(value):
-        raise ConfigError(f"line {lineno}: value of '{key}' is not finite: {raw!r}")
+        raise ConfigError(f"{where}: value of '{key}' is not finite: {raw!r}")
     if unit_kind == "count" and value.is_integer():
         return int(value)
     return value
@@ -187,7 +187,7 @@ def _build(sections, section_lines, name: str, **nested: str):
     fields, field_lines = {}, {}
     for key, (raw, lineno) in sections[name].items():
         unit_kind, field, _ = keys[key]
-        fields[field] = parse_quantity(raw, unit_kind, key, lineno)
+        fields[field] = parse_quantity(raw, unit_kind, key, f"line {lineno}")
         field_lines[field] = lineno
     missing = [key for key, (_, field, required) in keys.items()
                if required and field not in fields]

@@ -63,9 +63,9 @@ class FitModel:
     s_min_db, s_max_db  extremal underlying variances, dB re shot noise (free)
     theta0              LO phase at t = 0, radians (free)
     scan_rate           LO phase scan rate, rad/s (free)
+    clearance_db        circuit-noise clearance, fixed (required, no default)
     omega_norm          detuning parameter, fixed (kept for back-mapping to
                         pump parameter, not used by the trace model itself)
-    clearance_db        circuit-noise clearance, fixed
     jitter_sigma        known RMS LO phase jitter, fixed (0 = no averaging;
                         otherwise the model is the exact jitter average)
     """
@@ -74,8 +74,8 @@ class FitModel:
     s_max_db: float
     theta0: float
     scan_rate: float
+    clearance_db: float
     omega_norm: float = 0.0
-    clearance_db: float = 14.0
     jitter_sigma: float = 0.0
 
 
@@ -95,7 +95,11 @@ class FitResult:
 
 
 def _model_and_jacobian(p: np.ndarray, t: np.ndarray, floor: float, jitter: float):
-    """Model trace in dB and its Jacobian over p at the sample times t."""
+    """Model trace in dB and its Jacobian over p at the sample times t.
+
+    The map (S + n)/(1 + n), and its inverse in initial_guess, stay written out:
+    the Jacobian needs S + n, and apply_circuit_noise/remove_circuit_noise reject
+    the levels LM trial steps and below-floor samples legitimately reach."""
     s_min, s_max = 10.0 ** (p[0] / 10.0), 10.0 ** (p[1] / 10.0)
     theta = p[2] + p[3] * t
     jac = np.empty((t.size, _N_FREE))

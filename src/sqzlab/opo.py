@@ -221,15 +221,26 @@ def quadrature_variance(theta, alpha: float, rho: float, x: float, omega_norm: f
     return levels.s_max * c2 + levels.s_min * (1.0 - c2)
 
 
-def min_max_levels(alpha: float, rho: float, x: float, omega_norm: float) -> VarianceLevels:
-    """Extremal variances: s_max = S(0) (anti-squeezing), s_min = S(pi/2) (squeezing).
+def extremal_variances(alpha, rho, x, omega_norm):
+    """Linear (s_min, s_max) = (S(pi/2), S(0)); broadcasts, checks no domain.
 
     Uses the cancellation-free rearrangement
         s_min = ((1-x)^2 + 4x(1 - a*r) + 4 W^2) / ((1+x)^2 + 4 W^2),
     which keeps s_min accurate (and s_min*s_max = 1 at unit efficiency, zero
     detuning) even for x close to 1, where the direct 1 - 4arx/D form loses
-    most of its significant digits.  NaN fails every domain check.
+    most of its significant digits.
     """
+    w2 = 4.0 * omega_norm * omega_norm
+    ar = alpha * rho
+    # products, not ** 2: float ** 2 calls libm pow, which can miss numpy's square by an ulp
+    below, above = (1.0 - x) * (1.0 - x), (1.0 + x) * (1.0 + x)
+    s_max = (below + w2 + 4.0 * ar * x) / (below + w2)
+    s_min = (below + 4.0 * x * (1.0 - ar) + w2) / (above + w2)
+    return s_min, s_max
+
+
+def min_max_levels(alpha: float, rho: float, x: float, omega_norm: float) -> VarianceLevels:
+    """``extremal_variances`` after the domain checks, which NaN fails."""
     if not 0.0 <= alpha <= 1.0:
         raise ParameterDomainError(f"detection efficiency must be in [0, 1], got {alpha}")
     if not 0.0 <= rho <= 1.0:
@@ -238,8 +249,4 @@ def min_max_levels(alpha: float, rho: float, x: float, omega_norm: float) -> Var
         raise ParameterDomainError(f"pump parameter must be in [0, 1), got {x}")
     if not omega_norm >= 0.0:
         raise ParameterDomainError(f"detuning parameter must be >= 0, got {omega_norm}")
-    w2 = 4.0 * omega_norm * omega_norm
-    ar = alpha * rho
-    s_max = ((1.0 - x) ** 2 + w2 + 4.0 * ar * x) / ((1.0 - x) ** 2 + w2)
-    s_min = ((1.0 - x) ** 2 + 4.0 * x * (1.0 - ar) + w2) / ((1.0 + x) ** 2 + w2)
-    return VarianceLevels.from_linear(s_min=s_min, s_max=s_max)
+    return VarianceLevels.from_linear(*extremal_variances(alpha, rho, x, omega_norm))

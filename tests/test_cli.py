@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sqzlab import fit_trace, load_trace, min_max_levels
+from sqzlab import ConfigError, fit_trace, load_trace, min_max_levels, parse_config
 from sqzlab.cli import main
 
 ALPHA, RHO, X, OMEGA = 0.819819, 0.8525149190110828, 0.5656277572369306, 0.10720434894893513
@@ -46,6 +46,17 @@ class TestPredict:
         assert list(d1) == list(d2)
         assert d1["threshold_w"] == pytest.approx(0.1495575, rel=1e-12)
         assert d1["s_max_db"] == pytest.approx(8.886796542330625, abs=1e-9)
+
+    @pytest.mark.parametrize("flag, s_min_db", [
+        ([], -4.356106547452889),  # [acquisition] f = 1MHz
+        (["--frequency-hz", "3e6"], -3.4866970789567784),
+    ])
+    def test_frequency_flag_overrides_the_acquisition_frequency(self, capsys, config_path,
+                                                                 flag, s_min_db):
+        code, out, _ = run_cli(capsys, "predict", "--config", str(config_path), *flag,
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["s_min_db"] == s_min_db
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -210,12 +221,38 @@ class TestMalformedInputs:
         assert code == 1
         assert "'abc'" in err
 
+    def test_bad_power_names_the_flag(self, capsys, config_path):
+        code, _, err = run_cli(capsys, "sweep", "--config", str(config_path),
+                               "--powers", "20mW,xx")
+        assert code == 1
+        assert "error: --powers: value of 'power' is not a number: 'xx'" in err
+        assert "line 0" not in err
+
+    # the config and the CLI read numbers with one grammar: 1_0 and 0x10 leave a
+    # suffix on a dimensionless value, inf and nan are not numbers
+    @pytest.mark.parametrize("spelling, accepted", [
+        ("5.3", True), ("+5.3", True), ("5.", True), (".5e1", True), (" 5", True),
+        ("1_0", False), ("inf", False), ("nan", False), ("0x10", False), ("abc", False),
+    ])
+    def test_config_and_cli_accept_the_same_gains(self, capsys, config_path, spelling, accepted):
+        text = config_path.read_text()
+        assert "gain = 5.3 " in text
+        try:
+            parse_config(text.replace("gain = 5.3 ", f"gain = {spelling} ", 1))
+            config_accepts = True
+        except ConfigError:
+            config_accepts = False
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(config_path),
+                             "--gains", spelling, "--format", "json")
+        assert code in (0, 1)
+        assert config_accepts == (code == 0) == accepted
+
     @pytest.mark.parametrize("pair", ["nan,7", "-2.75,inf", "-inf,7"])
     def test_non_finite_level_rejected(self, capsys, config_path, pair):
         code, _, err = run_cli(capsys, "reconcile", "--config", str(config_path),
                                "--measured", pair)
         assert code == 1
-        assert "finite" in err
+        assert "is not a number" in err
         assert pair.split(",")[0] in err or pair.split(",")[1] in err
 
     def test_reconcile_at_unit_gain_is_a_domain_error(self, capsys, config_path, tmp_path):
@@ -234,12 +271,12 @@ class TestNonFiniteInputs:
                                  "--gains", "2,5.3", "--measured", str(measured))
         assert code == 1
         assert out == ""
-        assert "measured.csv:2:" in err and "finite" in err
+        assert "measured.csv:2:" in err and "value of 's_min_db' is not a number: 'nan'" in err
 
     def test_non_finite_gain_rejected(self, capsys, config_path):
         code, _, err = run_cli(capsys, "sweep", "--config", str(config_path), "--gains", "2,inf")
         assert code == 1
-        assert "gain 'inf' must be finite" in err
+        assert "--gains: value of 'gain' is not a number: 'inf'" in err
 
     def test_overflowing_power_rejected(self, capsys, config_path):
         code, out, err = run_cli(capsys, "sweep", "--config", str(config_path),
@@ -264,7 +301,6 @@ class TestNonFiniteInputs:
         assert code == 1
         assert "washes out" in err
 
-    # 1e400 parses to inf, and an infinite frequency makes the levels nan
     @pytest.mark.parametrize("frequency", ["inf", "1e400", "nan"])
     @pytest.mark.parametrize("command, extra", [
         ("predict", []),
@@ -283,7 +319,7 @@ class TestNonFiniteInputs:
                                      "--frequency-hz", frequency)
         assert code == 1
         assert out == ""
-        assert "analysis frequency must be finite and > 0" in err
+        assert "--frequency-hz: value of 'frequency_hz' is not" in err and repr(frequency) in err
 
 
 class TestEntryPoint:

@@ -218,10 +218,10 @@ class TestNonFiniteNumbers:
 
     def test_parse_quantity_rejects_overflow(self):
         with pytest.raises(ConfigError, match="'power' is not finite"):
-            parse_quantity("1e400mW", "power", "power", 0)
+            parse_quantity("1e400mW", "power", "power", "line 1")
 
     def test_count_kind_gives_an_int(self):
-        value = parse_quantity("401", "count", "samples", 0)
+        value = parse_quantity("401", "count", "samples", "line 1")
         assert value == 401 and isinstance(value, int)
 
 

@@ -468,6 +468,10 @@ class TestRecordedClearance:
 
 
 class TestFitContext:
+    def test_a_model_without_clearance_is_a_type_error(self):
+        with pytest.raises(TypeError, match="clearance_db"):
+            FitModel(s_min_db=-4.0, s_max_db=9.0, theta0=0.0, scan_rate=2 * math.pi / 0.2)
+
     def test_a_start_model_with_another_clearance_is_a_domain_error(self):
         trace = _synth(seed=393, jitter=0.12)
         model = replace(initial_guess(trace, CLEARANCE, OMEGA, 0.12), clearance_db=20.0)

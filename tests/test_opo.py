@@ -13,6 +13,7 @@ from sqzlab import (
     cavity_decay_rate,
     detuning_parameter,
     escape_efficiency,
+    extremal_variances,
     from_db,
     gain_from_pump_parameter,
     min_max_levels,
@@ -242,6 +243,13 @@ class TestVarianceProperties:
         s = quadrature_variance(thetas, *params)
         assert np.all(s <= levels.s_max + 1e-12)
         assert np.all(s >= levels.s_min - 1e-12)
+
+    @given(st.lists(_params, min_size=1, max_size=8))
+    def test_extremal_variances_match_min_max_levels_elementwise(self, points):
+        s_min, s_max = extremal_variances(*(np.array(column) for column in zip(*points)))
+        for i, params in enumerate(points):
+            levels = min_max_levels(*params)
+            assert (s_min[i], s_max[i]) == (levels.s_min, levels.s_max)  # bit for bit
 
     @given(st.floats(min_value=0.01, max_value=0.97), st.floats(min_value=0.0, max_value=2.0))
     def test_monotone_in_pump(self, x, omega_norm):
