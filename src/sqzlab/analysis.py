@@ -199,8 +199,9 @@ def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
         if disc >= 0.0:
             x = (ratio - 1.0) * (1.0 + w2) / (1.0 + ratio + math.sqrt(disc))
             if x < 1.0:
-                g = 1.0 / ((1.0 - x) ** 2 * gain)
-                e = (s_max - 1.0) * ((1.0 - x) ** 2 + w2) / (4.0 * alpha * rho * x)
+                below = (1.0 - x) * (1.0 - x)  # products, as in opo.extremal_variances
+                g = 1.0 / (below * gain)
+                e = (s_max - 1.0) * (below + w2) / (4.0 * alpha * rho * x)
                 in_box = g_lo < g < g_hi and e_lo < e <= e_hi + 1e-12  # e = 1 to rounding
     if not in_box:
         eps = 1e-7  # the box is open at g = 0.5, 1.5 and e = 0.3
@@ -268,7 +269,7 @@ def loss_only_explanation_check(measured: VarianceLevels, cavity: CavityParams,
     s_min_underlying = remove_circuit_noise(measured.s_min_db, clearance)
     if not s_min_underlying < 1.0:
         raise ParameterDomainError("measured squeezing level must lie below shot noise")
-    d_plus = (1.0 + x) ** 2 + 4.0 * omega_norm ** 2
+    d_plus = (1.0 + x) * (1.0 + x) + 4.0 * omega_norm * omega_norm  # as in extremal_variances
     e = (1.0 - s_min_underlying) * d_plus / (4.0 * alpha * rho * x)
     e = min(e, 1.0)  # efficiency cannot exceed the nominal chain
     levels = min_max_levels(e * alpha, rho, x, omega_norm)

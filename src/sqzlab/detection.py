@@ -165,6 +165,10 @@ def apply_circuit_noise(s_linear, clearance_db: float):
     10*log10((s + n) / (1 + n)).  Scalar/array contract of ``to_db``.
     """
     n = circuit_noise_floor(clearance_db)
+    if isinstance(s_linear, float):  # the same arithmetic on floats, without 0-d arrays
+        if not s_linear > 0.0:
+            raise ParameterDomainError("variance must be > 0")
+        return to_db((s_linear + n) / (1.0 + n))
     s = np.asarray(s_linear, dtype=float)
     if not (s > 0.0).all():
         raise ParameterDomainError("variance must be > 0")

@@ -10,6 +10,17 @@ The header is stated once, in _ACQUISITION_HEADER and _SCAN_HEADER (key ->
 constructor field and type, in file order), which serialize_trace and
 parse_trace both walk; their numbers must be finite.  The shot-noise
 reference level and then the metadata, in key order, follow them.
+
+Both directions run at array speed on the files this module writes.
+serialize_trace formats the whole data block in one pass of ``repr`` and
+redoes it value by value only when a repr carries an exponent.  parse_trace
+reads a plain data block (after the first column line: LF rows, exactly one
+comma per row, no blank row, no '#', a trailing newline, and no data row
+above the column line) with ``float()`` in one pass into two float64 arrays.
+Anything else, and any value ``float()`` rejects, takes the line loop over the
+whole text, which gives the same result and is the only source of errors and
+their line numbers.  Neither path keeps one object per row alive, so a parse
+or a serialize triggers no garbage collection.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ from .detection import AcquisitionSettings, NoiseTrace, PhaseScan
 
 _MAGIC = "# sqzlab-trace v1"
 _COLUMNS = "time_s,power_db"
+# the ASCII line breaks of str.splitlines besides LF, and the comment mark
+_NOT_PLAIN = "\r\x0b\x0c\x1c\x1d\x1e#"
 _SHOT_REFERENCE = "shot_reference_db"  # optional on reading, default 0 dB
 
 # header key -> (constructor field, type), in file order
@@ -79,11 +92,16 @@ def serialize_trace(trace: NoiseTrace) -> str:
     header += [(key, getattr(acq.lo_scan, field)) for key, (field, _) in _SCAN_HEADER.items()]
     header += [(_SHOT_REFERENCE, trace.shot_reference_db), *sorted(trace.metadata.items())]
     lines = [_MAGIC, *(f"# {key}={_fmt(value)}" for key, value in header), _COLUMNS]
-    lines += [f"{_fmt(t)},{_fmt(p)}" for t, p in zip(trace.times.tolist(), trace.powers_db.tolist())]
-    return "\n".join(lines) + "\n"
+    times, powers = trace.times.tolist(), trace.powers_db.tolist()
+    rows = "".join([f"{t!r},{p!r}\n" for t, p in zip(times, powers)])
+    if "e" in rows:  # some repr has an exponent: positional decimal value by value
+        rows = "".join([f"{_fmt(t)},{_fmt(p)}\n" for t, p in zip(times, powers)])
+    return "\n".join(lines) + "\n" + rows
 
 
-def parse_trace(text: str) -> NoiseTrace:
+def _read_lines(text: str):
+    """The line loop: (header, times, powers, saw_columns) of every line of
+    text, or TraceFormatError naming the first bad line."""
     header: dict[str, str] = {}
     times: list[float] = []
     powers: list[float] = []
@@ -112,8 +130,40 @@ def parse_trace(text: str) -> NoiseTrace:
             powers.append(float(parts[1]))
         except ValueError:
             raise TraceFormatError(f"line {lineno}: non-numeric sample {line!r}") from None
-    if not saw_columns and not times:
-        raise TraceFormatError("line 1: no data rows found")
+    return header, times, powers, saw_columns
+
+
+def _plain_samples(block: str):
+    """(times, powers) of a plain data block, each a contiguous float64 array
+    read with float(); None when the block is not plain or a value is not a
+    number, which leaves the block to the line loop."""
+    if (not block.endswith("\n") or not block.isascii()
+            or any(map(block.__contains__, _NOT_PLAIN))):
+        return None
+    # one comma per row, so no blank row either: commas and LFs alternate, a comma first
+    chars = np.frombuffer(block.encode(), np.uint8)
+    commas, ends = np.flatnonzero(chars == ord(",")), np.flatnonzero(chars == ord("\n"))
+    if commas.size != ends.size or (commas > ends).any() or (commas[1:] < ends[:-1]).any():
+        return None
+    values = block.replace("\n", ",").split(",")
+    del values[-1]  # the empty string after the last LF
+    try:
+        samples = np.fromiter(map(float, values), float, len(values))
+    except ValueError:
+        return None
+    return samples[0::2].copy(), samples[1::2].copy()
+
+
+def parse_trace(text: str) -> NoiseTrace:
+    head, columns, block = text.partition(f"\n{_COLUMNS}\n")
+    header, above, _, _ = _read_lines(head)
+    samples = _plain_samples(block) if columns and not above else None
+    if samples is None:  # not plain: the line loop reads the whole text
+        header, times, powers, saw_columns = _read_lines(text)
+        if not saw_columns and not times:
+            raise TraceFormatError("line 1: no data rows found")
+    else:
+        times, powers = samples
 
     missing = [key for table in (_ACQUISITION_HEADER, _SCAN_HEADER) for key in table
                if key not in header]

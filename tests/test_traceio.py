@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +16,7 @@ from sqzlab import (
     serialize_trace,
     synthesize_trace,
 )
+from sqzlab.traceio import _fmt, _plain_samples, _read_lines
 
 
 def _trace(times, powers, **meta):
@@ -145,6 +148,113 @@ class TestHeaderNumbers:
         text = serialize_trace(_trace([0.0, 0.1, 0.2, 0.3], [1.0, -1.0, 0.5, 0.0]))
         with pytest.raises(TraceFormatError, match="sample times must be finite"):
             parse_trace(text.replace("\n0.3,", "\n1e400,"))
+
+
+# the rows of the small trace the fallback cases edit
+CLEAN_ROWS = ([0.0, 0.1, 0.2, 0.3], [1.0, -1.0, 0.5, 0.0])
+PADS = (" ", "  ", "\t", " \t")
+
+
+def _rows_of(text):
+    head, columns, block = text.partition("time_s,power_db\n")
+    return head + columns, block.split("\n")[:-1]
+
+
+class TestArrayPath:
+    """The one-pass data block against the per-value reference."""
+
+    def test_plain_block_matches_the_line_loop(self, chain, acquisition):
+        for seed in range(4):
+            text = serialize_trace(synthesize_trace(0.8, 0.8, 0.5, 0.1, chain, acquisition, seed))
+            times, powers = _plain_samples(text.partition("\ntime_s,power_db\n")[2])
+            _, loop_times, loop_powers, _ = _read_lines(text)
+            assert times.tobytes() == np.array(loop_times).tobytes()
+            assert powers.tobytes() == np.array(loop_powers).tobytes()
+            assert times.flags.c_contiguous and powers.flags.c_contiguous
+            parsed = parse_trace(text)
+            assert parsed.times.tobytes() == times.tobytes()
+            assert parsed.times.flags.c_contiguous and parsed.powers_db.flags.c_contiguous
+
+    @pytest.mark.parametrize("times, powers", [
+        (CLEAN_ROWS[0], CLEAN_ROWS[1]),
+        ([0.0, 1e-07, 2e-07, 1.0], [-4.5e-05, 1e12, -7.25, 1e16]),  # reprs with exponents
+    ])
+    def test_rows_match_the_value_by_value_format(self, times, powers):
+        trace = _trace(times, powers)
+        rows = "".join(f"{_fmt(t)},{_fmt(p)}\n" for t, p in zip(times, powers))
+        assert serialize_trace(trace).endswith("\ntime_s,power_db\n" + rows)
+
+    def test_parse_and_serialize_trigger_no_garbage_collection(self, chain, acquisition):
+        trace = synthesize_trace(0.8, 0.8, 0.5, 0.1, chain, acquisition, 2)
+        text = serialize_trace(trace)
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            for _ in range(100):
+                parse_trace(text)
+                serialize_trace(trace)
+        finally:
+            gc.callbacks.remove(count)
+        assert starts == []
+
+
+class TestFallbackOutcomes:
+    """Inputs outside the plain data block go through the line loop; each
+    outcome is pinned: the arrays (and metadata) or the exact message."""
+
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda t: t.replace("\n", "\r\n"), (*CLEAN_ROWS, {})),
+        (lambda t: t.replace("\n0.1,-1.0\n", "\n0.1,\x0c-1.0\n"),
+         "line 13: non-numeric sample '0.1,'"),
+        (lambda t: t + "# operator=ab\n", (*CLEAN_ROWS, {"operator": "ab"})),
+        (lambda t: t.replace("samples=4", "samples=5").replace("time_s,", "-1.0,2.0\ntime_s,"),
+         ([-1.0, *CLEAN_ROWS[0]], [2.0, *CLEAN_ROWS[1]], {})),
+        (lambda t: t[:-1], (*CLEAN_ROWS, {})),
+        (lambda t: t.replace("\n0.3,0.0\n", "\n0.3,0.0,0.0\n"),
+         "line 15: expected 'time_s,power_db', got '0.3,0.0,0.0'"),
+        (lambda t: t.replace("\n0.2,", "\n\n0.2,"), (*CLEAN_ROWS, {})),
+        (lambda t: t.replace("\n0.1,-1.0\n0.2,0.5\n", "\n0.1,-1.0,0.2\n0.5\n"),
+         "line 13: expected 'time_s,power_db', got '0.1,-1.0,0.2'"),
+    ], ids=["crlf", "form-feed-in-row", "comment-after-data", "row-above-columns",
+            "no-trailing-newline", "three-fields-last-row", "blank-line-between-rows",
+            "fields-moved-between-rows"])
+    def test_outcome_is_pinned(self, edit, expected):
+        clean = serialize_trace(_trace(*CLEAN_ROWS))
+        text = edit(clean)
+        assert text != clean
+        if isinstance(expected, str):
+            with pytest.raises(TraceFormatError) as info:
+                parse_trace(text)
+            assert str(info.value) == expected
+        else:
+            times, powers, metadata = expected
+            trace = parse_trace(text)
+            assert trace.times.tobytes() == np.array(times).tobytes()
+            assert trace.powers_db.tobytes() == np.array(powers).tobytes()
+            assert trace.metadata == metadata
+
+    @given(st.sets(st.integers(0, 11)), st.sets(st.integers(0, 11)),
+           st.sets(st.integers(0, 11)), st.sampled_from(PADS))
+    def test_blank_lines_and_padding_give_the_clean_arrays(self, blank_before, padded,
+                                                           spaced_comma, pad):
+        powers = [-4.5e-05, 7.25, -3.125, 0.1, 12.0, -0.0, 1e-3, 2.5, -1.75, 8.0, 0.3, -6.0]
+        clean = serialize_trace(_trace(np.arange(12) * 1e-3, powers, seed=5))
+        head, rows = _rows_of(clean)
+        noisy = head + "".join(
+            ("\n" if i in blank_before else "")
+            + (f"{pad}{row}{pad}" if i in padded else row).replace(
+                ",", f"{pad},{pad}" if i in spaced_comma else ",")
+            + "\n" for i, row in enumerate(rows))
+        got, want = parse_trace(noisy), parse_trace(clean)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.powers_db.tobytes() == want.powers_db.tobytes()
+        assert got.metadata == want.metadata
 
 
 BUNDLED_TRACE_HEADER = """\
