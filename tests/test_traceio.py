@@ -155,11 +155,6 @@ CLEAN_ROWS = ([0.0, 0.1, 0.2, 0.3], [1.0, -1.0, 0.5, 0.0])
 PADS = (" ", "  ", "\t", " \t")
 
 
-def _rows_of(text):
-    head, columns, block = text.partition("time_s,power_db\n")
-    return head + columns, block.split("\n")[:-1]
-
-
 class TestArrayPath:
     """The one-pass data block against the per-value reference."""
 
@@ -245,12 +240,12 @@ class TestFallbackOutcomes:
                                                            spaced_comma, pad):
         powers = [-4.5e-05, 7.25, -3.125, 0.1, 12.0, -0.0, 1e-3, 2.5, -1.75, 8.0, 0.3, -6.0]
         clean = serialize_trace(_trace(np.arange(12) * 1e-3, powers, seed=5))
-        head, rows = _rows_of(clean)
-        noisy = head + "".join(
+        head, columns, block = clean.partition("time_s,power_db\n")
+        noisy = head + columns + "".join(
             ("\n" if i in blank_before else "")
             + (f"{pad}{row}{pad}" if i in padded else row).replace(
                 ",", f"{pad},{pad}" if i in spaced_comma else ",")
-            + "\n" for i, row in enumerate(rows))
+            + "\n" for i, row in enumerate(block.split("\n")[:-1]))
         got, want = parse_trace(noisy), parse_trace(clean)
         assert got.times.tobytes() == want.times.tobytes()
         assert got.powers_db.tobytes() == want.powers_db.tobytes()
