@@ -21,7 +21,12 @@ S + n = c*(1 + r^2 + 2*r*cos 2*theta) for r = (sqrt(hi) - sqrt(lo)) /
 (sqrt(hi) + sqrt(lo)) and c = ((sqrt(hi) + sqrt(lo))/2)^2, so
 ln(S + n) = ln c + 2*sum_m (-1)^(m+1) r^m cos(2*m*theta)/m (Gradshteyn &
 Ryzhik 1.514), and Gaussian jitter multiplies term m by exp(-2*m^2*sigma^2).
-The series is summed until the dropped terms fall below _SERIES_TOL.  A free
+The series is summed until the dropped terms fall below _SERIES_TOL, as k
+blocks of k terms (baby-step giant-step, Paterson & Stockmeyer 1973): with
+z = exp(2i*theta) and w = z^k, one real matrix product of the (2k, k)
+coefficient matrix with the baby powers z^1..z^k, read as (re, im) pairs,
+gives every block, and the blocks times the giant powers w^0..w^(k-1),
+summed over the block axis, give the model and its Jacobian.  A free
 jitter width would be structurally non-identifiable here: averaging the
 variance only shrinks B by exp(-2*sigma^2), which a rescaled
 (s_min, s_max) pair reproduces exactly, so jitter enters the model as a
@@ -97,12 +102,16 @@ class FitResult:
 def _model_and_jacobian(p: np.ndarray, t: np.ndarray, floor: float, jitter: float):
     """Model trace in dB and its Jacobian over p at the sample times t.
 
-    The map (S + n)/(1 + n), and its inverse in initial_guess, stay written out:
-    the Jacobian needs S + n, and apply_circuit_noise/remove_circuit_noise reject
-    the levels LM trial steps and below-floor samples legitimately reach."""
+    The Jacobian is built as four contiguous rows, one per parameter, and
+    returned as their (N, 4) transposed view.  The map (S + n)/(1 + n), and
+    its inverse in initial_guess, stay written out: the Jacobian needs S + n,
+    and apply_circuit_noise/remove_circuit_noise reject the levels LM trial
+    steps and below-floor samples legitimately reach."""
     s_min, s_max = 10.0 ** (p[0] / 10.0), 10.0 ** (p[1] / 10.0)
-    theta = p[2] + p[3] * t
-    jac = np.empty((t.size, _N_FREE))
+    phase = np.multiply(p[3], t)  # 2*theta, theta = p[2] + p[3]*t
+    phase += p[2]
+    phase *= 2.0
+    jt = np.empty((_N_FREE, t.size))
     if jitter > 0.0:
         sl, sh = math.sqrt(s_min + floor), math.sqrt(s_max + floor)
         u = 1.0 / (sh + sl)
@@ -114,82 +123,117 @@ def _model_and_jacobian(p: np.ndarray, t: np.ndarray, floor: float, jitter: floa
         root = 2.0 * ln_tol / (beta + math.sqrt(beta * beta + 8.0 * jitter * jitter * ln_tol))
         terms = min(max(math.ceil(root), 1), _MAX_TERMS) if math.isfinite(root) else 1
         k = 1 + math.isqrt(terms - 1)
-        m = np.arange(1, k * k + 1)
-        coef = (-r) ** (m - 1) * np.exp(-2.0 * jitter * jitter * m * m)
-        # h = (sum coef z^m / m, sum coef z^m) over z = exp(2i*theta): k blocks
-        # of k powers each, summed by Horner in w = z^k (baby-step giant-step)
-        powers = np.cumprod(np.broadcast_to(np.exp(2j * theta), (k, t.size)), axis=0)
-        blocks = (np.stack((coef / m, coef)).reshape(2 * k, k) @ powers).reshape(2, k, t.size)
-        h = blocks[:, -1]
-        for i in range(k - 2, -1, -1):
-            h = h * powers[-1] + blocks[:, i]
-        ln_c = 2.0 * math.log(0.5 * (sh + sl)) - math.log1p(floor)
-        model = (ln_c + 2.0 * r * h[0].real) / _LN10_OVER_10
-        d_r = 2.0 * h[1].real  # d ln(S + n) / d r
-        jac[:, 0] = s_min * u / sl * (1.0 - sh * u * d_r)
-        jac[:, 1] = s_max * u / sh * (1.0 + sl * u * d_r)
-        jac[:, 2] = -4.0 * r * h[1].imag / _LN10_OVER_10
+        m = np.arange(1.0, k * k + 1)
+        coef = np.empty((2, k * k))  # (coef/m, coef), coef = (-r)^(m-1) exp(-2 sigma^2 m^2)
+        np.power(abs(r), m - 1.0, out=coef[1])  # numpy's pow is slow on a negative base
+        if r > 0.0:
+            coef[1, 1::2] *= -1.0
+        decay = np.multiply(m, -2.0 * jitter * jitter)
+        decay *= m
+        coef[1] *= np.exp(decay, out=decay)
+        np.divide(coef[1], m, out=coef[0])
+        # h = (sum coef z^m / m, sum coef z^m), z = exp(2i*theta): the blocks
+        # of k terms from one real matrix product over (re, im) pairs of the
+        # baby powers z^1..z^k, then summed times the giant powers w^i, w = z^k
+        zw = np.empty((2, k, t.size), dtype=complex)
+        baby, giant = zw
+        np.cos(phase, out=baby[0].real)
+        np.sin(phase, out=baby[0].imag)
+        for i in range(1, k):
+            np.multiply(baby[i - 1], baby[0], out=baby[i])
+        giant[0] = 1.0
+        for i in range(1, k):
+            np.multiply(giant[i - 1], baby[-1], out=giant[i])
+        blocks = (coef.reshape(2 * k, k) @ baby.view(float)).view(complex).reshape(2, k, t.size)
+        blocks *= giant
+        h = blocks.sum(axis=1)
+        model = np.multiply(h[0].real, 2.0 * r)
+        model += 2.0 * math.log(0.5 * (sh + sl)) - math.log1p(floor)
+        model /= _LN10_OVER_10
+        # d ln(S + n) / d r = 2*Re h[1]
+        np.multiply(h[1].real, -2.0 * sh * u, out=jt[0])
+        jt[0] += 1.0
+        jt[0] *= s_min * u / sl
+        np.multiply(h[1].real, 2.0 * sl * u, out=jt[1])
+        jt[1] += 1.0
+        jt[1] *= s_max * u / sh
+        np.multiply(h[1].imag, -4.0 * r, out=jt[2])
+        jt[2] /= _LN10_OVER_10
     else:
         b = 0.5 * (s_max - s_min)
-        c = np.cos(2.0 * theta)
-        s = 0.5 * (s_max + s_min) + b * c + floor
-        model = 10.0 * np.log10(s / (1.0 + floor))
-        jac[:, 0] = 0.5 * s_min * (1.0 - c) / s
-        jac[:, 1] = 0.5 * s_max * (1.0 + c) / s
-        jac[:, 2] = -2.0 * b * np.sin(2.0 * theta) / s / _LN10_OVER_10
-    jac[:, 3] = jac[:, 2] * t
-    return model, jac
+        c = np.cos(phase)
+        s = np.multiply(b, c)
+        s += 0.5 * (s_max + s_min)
+        s += floor
+        model = np.divide(s, 1.0 + floor)
+        np.log10(model, out=model)
+        model *= 10.0
+        np.subtract(1.0, c, out=jt[0])
+        jt[0] *= 0.5 * s_min
+        jt[0] /= s
+        np.add(1.0, c, out=jt[1])
+        jt[1] *= 0.5 * s_max
+        jt[1] /= s
+        np.sin(phase, out=jt[2])
+        jt[2] *= -2.0 * b
+        jt[2] /= s
+        jt[2] /= _LN10_OVER_10
+    np.multiply(jt[2], t, out=jt[3])
+    return model, jt.T
 
 
 def _lm_minimize(p0, t, y, floor, jitter):
     """Damped Gauss-Newton (Levenberg-Marquardt); SSR never increases across
     accepted steps.  Returns (p, jac, ssr, history, iterations, converged)
-    with jac the Jacobian at p."""
+    with jac the Jacobian at p.  A damped step too short to change p in
+    floating point ends the damping loop: more damping only shortens it."""
     p = np.asarray(p0, dtype=float).copy()
     lam = _LAMBDA0
     with np.errstate(all="ignore"):
-        model, jac = _model_and_jacobian(p, t, floor, jitter)
-        r = model - y
-    if not np.all(np.isfinite(r)):
-        raise ParameterDomainError("start model gives non-finite residuals; check its levels and phase")
-    ssr = float(r @ r)
-    history = [ssr]
-    converged = False
-    it = 0
-    for it in range(1, _MAX_ITERATIONS + 1):
-        grad = jac.T @ r
-        hess = jac.T @ jac
-        diag = np.diag(np.maximum(np.diag(hess), 1e-14))
-        accepted = False
-        for _ in range(60):
-            with np.errstate(all="ignore"):
-                damped = hess + lam * diag
-                if not np.all(np.isfinite(damped)):
+        r, jac = _model_and_jacobian(p, t, floor, jitter)
+        r -= y
+        if not np.all(np.isfinite(r)):
+            raise ParameterDomainError("start model gives non-finite residuals; check its levels and phase")
+        ssr = float(r @ r)
+        history = [ssr]
+        converged = False
+        it = 0
+        for it in range(1, _MAX_ITERATIONS + 1):
+            grad = jac.T @ r
+            hess = jac.T @ jac
+            damping = np.maximum(hess.diagonal(), 1e-14)
+            accepted = False
+            for _ in range(60):
+                damped = hess.copy()
+                damped.flat[::_N_FREE + 1] += lam * damping
+                if not np.isfinite(damped).all():
                     break  # the damping has overflowed; no smaller step exists
                 try:
                     step = np.linalg.solve(damped, -grad)
                 except np.linalg.LinAlgError:
                     step = np.linalg.lstsq(damped, -grad, rcond=None)[0]
                 p_new = p + step
-                model, jac_new = _model_and_jacobian(p_new, t, floor, jitter)
-                r_new = model - y
+                if p_new.tobytes() == p.tobytes():
+                    break  # p cannot move: the stationarity check decides
+                r_new, jac_new = _model_and_jacobian(p_new, t, floor, jitter)
+                r_new -= y
                 ssr_new = float(r_new @ r_new)
-            if math.isfinite(ssr_new) and ssr_new < ssr:
-                accepted = True
+                if math.isfinite(ssr_new) and ssr_new < ssr:
+                    accepted = True
+                    break
+                lam *= 4.0
+            if not accepted:
+                # no damped step descends: converged only at a stationary point
+                cosine = np.abs(grad) / np.maximum(np.linalg.norm(jac, axis=0) * math.sqrt(ssr), 1e-300)
+                converged = bool(np.max(cosine) <= _GRADIENT_COSINE_TOL)
                 break
-            lam *= 4.0
-        if not accepted:
-            # no damped step descends: converged only at a stationary point
-            cosine = np.abs(grad) / np.maximum(np.linalg.norm(jac, axis=0) * math.sqrt(ssr), 1e-300)
-            converged = bool(np.max(cosine) <= _GRADIENT_COSINE_TOL)
-            break
-        rel_drop = (ssr - ssr_new) / max(ssr, 1e-300)
-        p, r, ssr, jac = p_new, r_new, ssr_new, jac_new
-        history.append(ssr)
-        lam = max(lam / 3.0, 1e-14)
-        if rel_drop < _FTOL or float(np.max(np.abs(step))) < _XTOL:
-            converged = True
-            break
+            rel_drop = (ssr - ssr_new) / max(ssr, 1e-300)
+            p, r, ssr, jac = p_new, r_new, ssr_new, jac_new
+            history.append(ssr)
+            lam = max(lam / 3.0, 1e-14)
+            if rel_drop < _FTOL or float(np.max(np.abs(step))) < _XTOL:
+                converged = True
+                break
     return p, jac, ssr, np.asarray(history), it, converged
 
 

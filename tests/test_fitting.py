@@ -174,10 +174,42 @@ def _trapezoid_jitter_average(p, t, floor, sigma, points=20001):
     return 10.0 * np.log10((s + floor) / (1.0 + floor)) @ (w / w.sum())
 
 
+def _direct_jitter_sum(p, t, floor, sigma):
+    """Per-term oracle of the jitter series: the model in dB and its (N, 4)
+    Jacobian from ln(S + n) = ln c + 2*sum_m (-1)^(m+1) r^m g_m cos(2*m*theta)/m,
+    g_m = exp(-2 m^2 sigma^2), each term from its own cos/sin, summed until
+    the coefficient (-1)^(m+1) r^(m-1) g_m falls below 1e-20."""
+    s_min, s_max = 10.0 ** (p[0] / 10.0), 10.0 ** (p[1] / 10.0)
+    sl, sh = math.sqrt(s_min + floor), math.sqrt(s_max + floor)
+    r = (sh - sl) / (sh + sl)
+    theta = p[2] + p[3] * t
+    ln_avg = np.full(t.size, 2.0 * math.log(0.5 * (sh + sl)) - math.log(1.0 + floor))
+    d_r = np.zeros(t.size)      # d ln(S + n) / d r
+    d_theta = np.zeros(t.size)  # d ln(S + n) / d theta
+    m = 1
+    while True:
+        c = (-1) ** (m + 1) * r ** (m - 1) * math.exp(-2.0 * sigma * sigma * m * m)
+        if abs(c) < 1e-20:
+            break
+        ln_avg += 2.0 * c * r * np.cos(2 * m * theta) / m
+        d_r += 2.0 * c * np.cos(2 * m * theta)
+        d_theta -= 4.0 * c * r * np.sin(2 * m * theta)
+        m += 1
+    # r = (sh - sl)/(sh + sl): dr/dsl = -2 sh/(sh + sl)^2, dr/dsh = 2 sl/(sh + sl)^2,
+    # and d sl / d s_min_db = s_min * ln10/10 / (2 sl)
+    u = 1.0 / (sh + sl)
+    ln10_over_10 = math.log(10.0) / 10.0
+    jac = np.column_stack((s_min / (2.0 * sl) * (2.0 * u - 2.0 * sh * u * u * d_r),
+                           s_max / (2.0 * sh) * (2.0 * u + 2.0 * sl * u * u * d_r),
+                           d_theta / ln10_over_10,
+                           d_theta * t / ln10_over_10))
+    return ln_avg / ln10_over_10, jac
+
+
 SERIES_CASES = [  # (s_min_db, s_max_db, clearance_db)
     (TRUTH.s_min_db, TRUTH.s_max_db, CLEARANCE),   # bundled pair
-    (-10.0, 15.0, 20.0),                           # deep pair at high clearance
-    (TRUTH.s_max_db, TRUTH.s_min_db, CLEARANCE),   # swapped: s_min > s_max
+    (-10.0, 15.0, 20.0),                           # deep pair at high clearance (k = 16 at 0.01 rad)
+    (TRUTH.s_max_db, TRUTH.s_min_db, CLEARANCE),   # swapped: s_min > s_max, so r < 0
 ]
 
 
@@ -192,6 +224,19 @@ class TestExactJitterSeries:
         model, _ = _model_and_jacobian(p, t, floor, sigma)
         oracle = _trapezoid_jitter_average(p, t, floor, sigma)
         np.testing.assert_allclose(model, oracle, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("levels", SERIES_CASES + [(-4.0, -4.0, 10.0)])  # last: r = 0, k = 1
+    @pytest.mark.parametrize("sigma", [0.01, 0.05, 0.12, 0.5])
+    def test_matches_a_direct_per_term_sum(self, sigma, levels):
+        lo_db, hi_db, clearance = levels
+        p = np.array([lo_db, hi_db, 0.3, 2 * math.pi / 0.2])
+        t = np.linspace(0.0, 0.2, 61)
+        floor = 10.0 ** (-clearance / 10.0)
+        model, jac = _model_and_jacobian(p, t, floor, sigma)
+        oracle_model, oracle_jac = _direct_jitter_sum(p, t, floor, sigma)
+        np.testing.assert_allclose(model, oracle_model, rtol=0.0, atol=1e-12)
+        gap = np.abs(jac - oracle_jac).max(axis=0)
+        assert np.all(gap <= 1e-12 * np.abs(oracle_jac).max(axis=0)), gap
 
     @pytest.mark.parametrize("levels", SERIES_CASES + [(-4.0, -4.0, 10.0)])  # last: r = 0
     @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.5, 2.0])
@@ -383,6 +428,30 @@ class TestStationarityCheck:
         assert result.iterations == 1
         assert len(result.objective_history) == 1  # no step accepted: still at the start
         assert result.objective_history[0] > 1e3
+
+
+class TestDampingLoopStop:
+    """A damped step that leaves p unchanged in floating point ends the
+    damping loop: more damping only shortens it.  Without that stop, the
+    refit of seed 5 from its own optimum ran all 60 tries."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_refit_from_its_own_optimum_is_cheap(self, config_path, seed, monkeypatch):
+        cfg = load_config(config_path)
+        point = operating_point(cfg.cavity, cfg.detection, cfg.pump,
+                                cfg.acquisition.center_frequency)
+        trace = synthesize_trace(*point, cfg.detection, cfg.acquisition, seed)
+        first = fit_trace(trace)
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _model_and_jacobian(*args)
+
+        monkeypatch.setattr(fitting, "_model_and_jacobian", counted)
+        again = fit_trace(trace, first.model)
+        assert again.converged
+        assert len(calls) <= 30
 
 
 class TestUndeterminedLevel:

@@ -215,6 +215,18 @@ class TestScalarReturnContract:
         out = fn(np.full(shape, 2.0))
         assert isinstance(out, np.ndarray) and out.shape == shape
 
+    @pytest.mark.parametrize("fn, values, clearances", [
+        (remove_circuit_noise, (-10.0, 30.0), (10.5, 40.0)),  # dB, above every floor
+        (apply_circuit_noise, (0.01, 40.0), (0.5, 40.0)),     # linear variance
+    ])
+    def test_float_float64_and_0d_inputs_agree_bit_for_bit(self, fn, values, clearances):
+        rng = np.random.default_rng(15)
+        for value, clearance in zip(rng.uniform(*values, 2000).tolist(),
+                                    rng.uniform(*clearances, 2000).tolist()):
+            expected = fn(value, clearance)
+            assert fn(np.float64(value), clearance) == expected
+            assert fn(np.array(value), clearance) == expected
+
     def test_list_input_is_an_array(self):
         assert to_db([1.0, 10.0]).tolist() == [0.0, 10.0]
         assert remove_circuit_noise([0.0, 0.0], 14.0) == pytest.approx([1.0, 1.0], abs=1e-15)
