@@ -128,9 +128,7 @@ def _model_and_jacobian(p: np.ndarray, t: np.ndarray, floor: float, jitter: floa
         np.power(abs(r), m - 1.0, out=coef[1])  # numpy's pow is slow on a negative base
         if r > 0.0:
             coef[1, 1::2] *= -1.0
-        decay = np.multiply(m, -2.0 * jitter * jitter)
-        decay *= m
-        coef[1] *= np.exp(decay, out=decay)
+        coef[1] *= np.exp(-2.0 * jitter * jitter * m * m)
         np.divide(coef[1], m, out=coef[0])
         # h = (sum coef z^m / m, sum coef z^m), z = exp(2i*theta): the blocks
         # of k terms from one real matrix product over (re, im) pairs of the
