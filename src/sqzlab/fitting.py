@@ -40,6 +40,7 @@ structure of Golub & Pereyra, 1973), so initial_guess is one regression.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -182,9 +183,14 @@ def _model_and_jacobian(p: np.ndarray, t: np.ndarray, floor: float, jitter: floa
 
 def _lm_minimize(p0, t, y, floor, jitter):
     """Damped Gauss-Newton (Levenberg-Marquardt); SSR never increases across
-    accepted steps.  Returns (p, jac, ssr, history, iterations, converged)
-    with jac the Jacobian at p.  A damped step too short to change p in
-    floating point ends the damping loop: more damping only shortens it."""
+    accepted steps.  Returns (p, jac, ssr, history, iterations, converged),
+    jac the Jacobian at p.  Each iteration takes one eigh, V diag(w) V^T, of
+    D^-1/2 J^T J D^-1/2 with D = diag(J^T J) (More 1978): at damping lam the
+    step is -D^-1/2 V u, u = V^T g / (w + lam), g = D^-1/2 J^T r, and its
+    predicted SSR drop is sum(u^2 (w + 2 lam)).  The damping loop stops once
+    that drop is at most eps*ssr, below what a float SSR resolves.  No cap is
+    needed: |g_i| <= sqrt(ssr) bounds the drop by 8*ssr/lam, so the loop ends
+    within ceil(log4(8/(eps*lam))) tries, 33 from _LAMBDA0, 51 from 1e-14."""
     p = np.asarray(p0, dtype=float).copy()
     lam = _LAMBDA0
     with np.errstate(all="ignore"):
@@ -199,20 +205,16 @@ def _lm_minimize(p0, t, y, floor, jitter):
         for it in range(1, _MAX_ITERATIONS + 1):
             grad = jac.T @ r
             hess = jac.T @ jac
-            damping = np.maximum(hess.diagonal(), 1e-14)
+            scale = 1.0 / np.sqrt(np.maximum(hess.diagonal(), 1e-14))
+            w, v = np.linalg.eigh(hess * scale * scale[:, None])
+            gv = v.T @ (grad * scale)
             accepted = False
-            for _ in range(60):
-                damped = hess.copy()
-                damped.flat[::_N_FREE + 1] += lam * damping
-                if not np.isfinite(damped).all():
-                    break  # the damping has overflowed; no smaller step exists
-                try:
-                    step = np.linalg.solve(damped, -grad)
-                except np.linalg.LinAlgError:
-                    step = np.linalg.lstsq(damped, -grad, rcond=None)[0]
+            while True:
+                u = gv / (w + lam)
+                if not u @ (u * (w + 2.0 * lam)) > sys.float_info.epsilon * ssr:
+                    break  # the drop is below resolution: converged only at a stationary point
+                step = -scale * (v @ u)
                 p_new = p + step
-                if p_new.tobytes() == p.tobytes():
-                    break  # p cannot move: the stationarity check decides
                 r_new, jac_new = _model_and_jacobian(p_new, t, floor, jitter)
                 r_new -= y
                 ssr_new = float(r_new @ r_new)
@@ -221,7 +223,6 @@ def _lm_minimize(p0, t, y, floor, jitter):
                     break
                 lam *= 4.0
             if not accepted:
-                # no damped step descends: converged only at a stationary point
                 cosine = np.abs(grad) / np.maximum(np.linalg.norm(jac, axis=0) * math.sqrt(ssr), 1e-300)
                 converged = bool(np.max(cosine) <= _GRADIENT_COSINE_TOL)
                 break
@@ -259,7 +260,8 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     s_min starts no lower than A/100: far below, its Jacobian column vanishes
     and LM trial steps overflow.  A jitter so wide that exp(-2*sigma^2)
     underflows to 0 leaves no modulation and raises ParameterDomainError, as
-    does a clearance that is not finite and > 0 dB."""
+    do a clearance that is not finite and > 0 dB and a sample too large for
+    its linear power to be finite (above about 3082 dB)."""
     contrast = math.exp(-2.0 * jitter_sigma * jitter_sigma)
     if contrast == 0.0:
         raise ParameterDomainError(
@@ -269,7 +271,12 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     rate = trace.acquisition.lo_scan.rate
     phase = 2.0 * rate * trace.times
     design = np.column_stack((np.ones_like(phase), np.cos(phase), np.sin(phase)))
-    s = 10.0 ** (trace.powers_db / 10.0) * (1.0 + floor) - floor
+    with np.errstate(over="ignore"):
+        s = 10.0 ** (trace.powers_db / 10.0) * (1.0 + floor) - floor
+    if not np.isfinite(s).all():
+        raise ParameterDomainError(
+            f"the trace sample of {trace.powers_db.max()} dB overflows as a linear power, "
+            "so the levels cannot be fitted")
     (a, bc, bs), *_ = np.linalg.lstsq(design, s, rcond=None)
     a = max(a, floor)
     b = math.hypot(bc, bs) / contrast
@@ -298,7 +305,8 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None) -> FitResult:
     sigma are ``math.inf``.  ParameterDomainError is raised for a start model
     whose curve is not finite (e.g. an overflowing level) or whose clearance
     or jitter differs from the trace's record, for a clearance not finite and
-    > 0 dB, and when neither the model nor the trace gives a clearance.
+    > 0 dB, when neither the model nor the trace gives a clearance, and for
+    a sample whose linear power overflows when initial_guess builds the start.
     """
     if len(trace) < 10 * _N_FREE:
         raise ParameterDomainError(

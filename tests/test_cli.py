@@ -301,6 +301,23 @@ class TestNonFiniteInputs:
         assert code == 1
         assert "washes out" in err
 
+    def test_fit_of_an_overflowing_sample_is_an_error(self, capsys, config_path, tmp_path):
+        # 1e300 dB parses (it is finite) but overflows as a linear power
+        trace_path = tmp_path / "trace.csv"
+        run_cli(capsys, "synth", "--config", str(config_path), "--seed", "4", "--out", str(trace_path))
+        header, data = trace_path.read_text().split("time_s,power_db\n")
+        rows = data.splitlines()
+        rows[6] = rows[6].split(",")[0] + ",1e300"
+        trace_path.write_text(header + "time_s,power_db\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            code, out, err = run_cli(capsys, "fit", "--trace", str(trace_path),
+                                     "--config", str(config_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "sample of 1e+300 dB overflows" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("frequency", ["inf", "1e400", "nan"])
     @pytest.mark.parametrize("command, extra", [
         ("predict", []),

@@ -303,6 +303,19 @@ class TestStartModelDomain:
         with pytest.raises(ParameterDomainError, match="non-finite"):
             fit_trace(trace, guess)
 
+    def test_overflowing_sample_rejected_by_the_start(self):
+        # 1e300 dB is finite, so the trace holds it, but 10^(y/10) overflows
+        trace = _synth(seed=347)
+        powers = trace.powers_db.copy()
+        powers[7] = 1e300
+        trace = replace(trace, powers_db=powers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterDomainError, match="sample of 1e\\+300 dB overflows"):
+                initial_guess(trace, clearance_db=CLEARANCE)
+            with pytest.raises(ParameterDomainError, match="sample of 1e\\+300 dB overflows"):
+                fit_trace(trace)
+
     def test_jitter_that_washes_out_the_modulation_rejected(self):
         # exp(-2*sigma^2) underflows to 0 above sigma ~ 19.3 rad
         trace = _synth(seed=344, jitter=30.0)
@@ -431,9 +444,9 @@ class TestStationarityCheck:
 
 
 class TestDampingLoopStop:
-    """A damped step that leaves p unchanged in floating point ends the
-    damping loop: more damping only shortens it.  Without that stop, the
-    refit of seed 5 from its own optimum ran all 60 tries."""
+    """A damped step whose predicted SSR drop is at most eps*ssr ends the
+    damping loop: more damping only shrinks the drop, so a refit from its
+    own optimum stops at once."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_refit_from_its_own_optimum_is_cheap(self, config_path, seed, monkeypatch):
@@ -452,6 +465,57 @@ class TestDampingLoopStop:
         again = fit_trace(trace, first.model)
         assert again.converged
         assert len(calls) <= 30
+
+
+def _bundled_trace(config_path, seed):
+    cfg = load_config(config_path)
+    point = operating_point(cfg.cavity, cfg.detection, cfg.pump,
+                            cfg.acquisition.center_frequency)
+    return synthesize_trace(*point, cfg.detection, cfg.acquisition, seed)
+
+
+class TestPredictedDropStop:
+    """The damping loop needs no try cap: the predicted drop is at most
+    8*ssr/lam, so it falls below eps*ssr within 33 tries from _LAMBDA0."""
+
+    def test_refit_from_its_own_optimum_takes_few_evaluations(self, config_path, monkeypatch):
+        # steps that move p by ulps but predict no resolvable SSR drop are not tried
+        counts = {}
+        for seed in range(40):
+            trace = _bundled_trace(config_path, seed)
+            first = fit_trace(trace)
+            calls = []
+
+            def counted(*args):
+                calls.append(None)
+                return _model_and_jacobian(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(fitting, "_model_and_jacobian", counted)
+                again = fit_trace(trace, first.model)
+            assert again.converged
+            counts[seed] = len(calls)
+        assert max(counts.values()) <= 8, counts
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_loop_ends_when_no_trial_is_finite(self, config_path, seed, monkeypatch):
+        trace = _bundled_trace(config_path, seed)
+        calls = []
+
+        def nan_after_the_start(*args):
+            calls.append(None)
+            model, jac = _model_and_jacobian(*args)
+            if len(calls) > 1:
+                model[:] = math.nan
+            return model, jac
+
+        monkeypatch.setattr(fitting, "_model_and_jacobian", nan_after_the_start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = fit_trace(trace)
+        assert not result.converged
+        assert result.iterations == 1
+        assert len(calls) <= 34  # the start plus ceil(log4(8/(eps*_LAMBDA0))) = 33 tries
 
 
 class TestUndeterminedLevel:
