@@ -212,7 +212,7 @@ def _lm_minimize(p0, t, y, floor, jitter):
             while True:
                 u = gv / (w + lam)
                 if not u @ (u * (w + 2.0 * lam)) > sys.float_info.epsilon * ssr:
-                    break  # the drop is below resolution: converged only at a stationary point
+                    break  # no resolvable drop (NaN included): converged only at a stationary point
                 step = -scale * (v @ u)
                 p_new = p + step
                 r_new, jac_new = _model_and_jacobian(p_new, t, floor, jitter)
