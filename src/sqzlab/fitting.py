@@ -181,39 +181,95 @@ def _model_and_jacobian(p: np.ndarray, t: np.ndarray, floor: float, jitter: floa
     return model, jt.T
 
 
+def _damped_solve(h, g, lam):
+    """Solve (H + lam*I) u = -g by an unrolled Cholesky factorization L L^T.
+
+    h holds the lower triangle of the symmetric 4x4 H by rows, (h00, h10,
+    h11, h20, h21, h22, h30, h31, h32, h33); g has 4 entries.  Returns
+    (u, drop) with drop = lam*|u|^2 - g.u = lam*|u|^2 + |z|^2, z = L^-1 (-g),
+    the SSR drop that the Gauss-Newton model predicts for u, or None when a
+    pivot is not positive (H + lam*I indefinite to rounding).  A NaN pivot
+    is not caught: NaN then reaches u and the drop."""
+    h00, h10, h11, h20, h21, h22, h30, h31, h32, h33 = h
+    g0, g1, g2, g3 = g
+    d = h00 + lam
+    if d <= 0.0:
+        return None
+    l00 = math.sqrt(d)
+    l10, l20, l30 = h10 / l00, h20 / l00, h30 / l00
+    d = h11 + lam - l10 * l10
+    if d <= 0.0:
+        return None
+    l11 = math.sqrt(d)
+    l21 = (h21 - l20 * l10) / l11
+    l31 = (h31 - l30 * l10) / l11
+    d = h22 + lam - l20 * l20 - l21 * l21
+    if d <= 0.0:
+        return None
+    l22 = math.sqrt(d)
+    l32 = (h32 - l30 * l20 - l31 * l21) / l22
+    d = h33 + lam - l30 * l30 - l31 * l31 - l32 * l32
+    if d <= 0.0:
+        return None
+    l33 = math.sqrt(d)
+    z0 = -g0 / l00
+    z1 = (-g1 - l10 * z0) / l11
+    z2 = (-g2 - l20 * z0 - l21 * z1) / l22
+    z3 = (-g3 - l30 * z0 - l31 * z1 - l32 * z2) / l33
+    u3 = z3 / l33
+    u2 = (z2 - l32 * u3) / l22
+    u1 = (z1 - l21 * u2 - l31 * u3) / l11
+    u0 = (z0 - l10 * u1 - l20 * u2 - l30 * u3) / l00
+    drop = lam * (u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3) + (z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3)
+    return (u0, u1, u2, u3), drop
+
+
 def _lm_minimize(p0, t, y, floor, jitter):
     """Damped Gauss-Newton (Levenberg-Marquardt); SSR never increases across
     accepted steps.  Returns (p, jac, ssr, history, iterations, converged),
-    jac the Jacobian at p.  Each iteration takes one eigh, V diag(w) V^T, of
-    D^-1/2 J^T J D^-1/2 with D = diag(J^T J) (More 1978): at damping lam the
-    step is -D^-1/2 V u, u = V^T g / (w + lam), g = D^-1/2 J^T r, and its
-    predicted SSR drop is sum(u^2 (w + 2 lam)).  The damping loop stops once
-    that drop is at most eps*ssr, below what a float SSR resolves.  No cap is
-    needed: |g_i| <= sqrt(ssr) bounds the drop by 8*ssr/lam, so the loop ends
-    within ceil(log4(8/(eps*lam))) tries, 33 from _LAMBDA0, 51 from 1e-14."""
+    jac the Jacobian at p.  The 4x4 algebra runs on Python floats, read once
+    per accepted point from J^T J and J^T r: with D = diag(J^T J) (More 1978),
+    each damping try solves (H + lam*I) u = -g, H = D^-1/2 J^T J D^-1/2 and
+    g = D^-1/2 J^T r, by Cholesky (_damped_solve); the step is D^-1/2 u and
+    its predicted SSR drop lam*|u|^2 - g.u.  A pivot that is not positive
+    (H indefinite to rounding) damps more without evaluating the model.  The
+    damping loop stops once the drop is at most eps*ssr, below what a float
+    SSR resolves.  No cap is needed: for any exact solve |g_i| <= sqrt(ssr)
+    bounds the drop by 8*ssr/lam, and lam only grows within the loop, so it
+    ends within ceil(log4(8/(eps*lam))) tries, 33 from _LAMBDA0, 51 from 1e-14.
+    p stays a float64 array, as _model_and_jacobian relies on numpy's pow."""
     p = np.asarray(p0, dtype=float).copy()
     lam = _LAMBDA0
     with np.errstate(all="ignore"):
         r, jac = _model_and_jacobian(p, t, floor, jitter)
         r -= y
-        if not np.all(np.isfinite(r)):
-            raise ParameterDomainError("start model gives non-finite residuals; check its levels and phase")
         ssr = float(r @ r)
+        if not math.isfinite(ssr):
+            raise ParameterDomainError("start model gives non-finite residuals, or residuals whose "
+                                       "sum of squares overflows; check its levels and phase and "
+                                       "the trace's samples")
         history = [ssr]
         converged = False
         it = 0
         for it in range(1, _MAX_ITERATIONS + 1):
-            grad = jac.T @ r
-            hess = jac.T @ jac
-            scale = 1.0 / np.sqrt(np.maximum(hess.diagonal(), 1e-14))
-            w, v = np.linalg.eigh(hess * scale * scale[:, None])
-            gv = v.T @ (grad * scale)
+            (h00, h01, h02, h03), (_, h11, h12, h13), (_, _, h22, h23), (_, _, _, h33) = \
+                (jac.T @ jac).tolist()
+            grad = (jac.T @ r).tolist()
+            diag = (h00, h11, h22, h33)
+            s0, s1, s2, s3 = scale = [1.0 / math.sqrt(max(hi, 1e-14)) for hi in diag]  # a NaN hi stays NaN
+            h = (h00 * s0 * s0, h01 * s0 * s1, h11 * s1 * s1, h02 * s0 * s2, h12 * s1 * s2,
+                 h22 * s2 * s2, h03 * s0 * s3, h13 * s1 * s3, h23 * s2 * s3, h33 * s3 * s3)
+            g = [gi * si for gi, si in zip(grad, scale)]
             accepted = False
             while True:
-                u = gv / (w + lam)
-                if not u @ (u * (w + 2.0 * lam)) > sys.float_info.epsilon * ssr:
+                solved = _damped_solve(h, g, lam)
+                if solved is None:
+                    lam *= 4.0
+                    continue
+                u, drop = solved
+                if not drop > sys.float_info.epsilon * ssr:
                     break  # no resolvable drop (NaN included): converged only at a stationary point
-                step = -scale * (v @ u)
+                step = [si * ui for si, ui in zip(scale, u)]
                 p_new = p + step
                 r_new, jac_new = _model_and_jacobian(p_new, t, floor, jitter)
                 r_new -= y
@@ -223,14 +279,15 @@ def _lm_minimize(p0, t, y, floor, jitter):
                     break
                 lam *= 4.0
             if not accepted:
-                cosine = np.abs(grad) / np.maximum(np.linalg.norm(jac, axis=0) * math.sqrt(ssr), 1e-300)
-                converged = bool(np.max(cosine) <= _GRADIENT_COSINE_TOL)
+                root_ssr = math.sqrt(ssr)
+                converged = all(abs(gi) / max(math.sqrt(hi) * root_ssr, 1e-300) <= _GRADIENT_COSINE_TOL
+                                for gi, hi in zip(grad, diag))  # a NaN cosine is not convergence
                 break
             rel_drop = (ssr - ssr_new) / max(ssr, 1e-300)
             p, r, ssr, jac = p_new, r_new, ssr_new, jac_new
             history.append(ssr)
             lam = max(lam / 3.0, 1e-14)
-            if rel_drop < _FTOL or float(np.max(np.abs(step))) < _XTOL:
+            if rel_drop < _FTOL or max(map(abs, step)) < _XTOL:
                 converged = True
                 break
     return p, jac, ssr, np.asarray(history), it, converged
@@ -303,7 +360,8 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None) -> FitResult:
     parameter with a component in a null row of V^T (e.g. s_min far below
     the electronic floor) is not determined by the trace: its variance and
     sigma are ``math.inf``.  ParameterDomainError is raised for a start model
-    whose curve is not finite (e.g. an overflowing level) or whose clearance
+    whose curve is not finite (e.g. an overflowing level), whose residuals'
+    sum of squares overflows (e.g. a sample of 1e160 dB), or whose clearance
     or jitter differs from the trace's record, for a clearance not finite and
     > 0 dB, when neither the model nor the trace gives a clearance, and for
     a sample whose linear power overflows when initial_guess builds the start.

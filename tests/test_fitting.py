@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 from sqzlab import (
@@ -23,7 +25,7 @@ from sqzlab import (
     synthesize_trace,
 )
 from sqzlab import fitting
-from sqzlab.fitting import _model_and_jacobian
+from sqzlab.fitting import _damped_solve, _model_and_jacobian
 
 ALPHA, RHO, X, OMEGA = 0.819819, 0.8525149190110828, 0.5656277572369306, 0.10720434894893513
 CLEARANCE = 14.0
@@ -316,6 +318,18 @@ class TestStartModelDomain:
             with pytest.raises(ParameterDomainError, match="sample of 1e\\+300 dB overflows"):
                 fit_trace(trace)
 
+    def test_overflowing_start_ssr_rejected(self, config_path):
+        # 1e160 dB is a finite residual, but its square overflows the SSR
+        trace = _bundled_trace(config_path, 5)
+        start = initial_guess(trace, clearance_db=trace.metadata["clearance_db"],
+                              jitter_sigma=trace.acquisition.lo_scan.jitter_sigma)
+        powers = trace.powers_db.copy()
+        powers[100] = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterDomainError, match="sum of squares overflows"):
+                fit_trace(replace(trace, powers_db=powers), start)
+
     def test_jitter_that_washes_out_the_modulation_rejected(self):
         # exp(-2*sigma^2) underflows to 0 above sigma ~ 19.3 rad
         trace = _synth(seed=344, jitter=30.0)
@@ -516,6 +530,94 @@ class TestPredictedDropStop:
         assert not result.converged
         assert result.iterations == 1
         assert len(calls) <= 34  # the start plus ceil(log4(8/(eps*_LAMBDA0))) = 33 tries
+
+
+_EPS = np.finfo(float).eps
+_UNIT = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@st.composite
+def _scaled_normal_equations(draw):
+    """(H, g) = (D^-1/2 X^T X D^-1/2, D^-1/2 X^T r), D = diag(X^T X), for a
+    random X of 1-6 rows, so H is a unit-diagonal Gram matrix of rank <= the
+    row count; a copied or negated column makes it exactly rank-deficient."""
+    rows = draw(st.integers(min_value=1, max_value=6))
+    x = np.array(draw(st.lists(_UNIT, min_size=4 * rows, max_size=4 * rows))).reshape(rows, 4)
+    copy = draw(st.sampled_from([None, (0, 1, 1.0), (2, 3, -1.0), (1, 3, 1.0)]))
+    if copy is not None:
+        x[:, copy[1]] = copy[2] * x[:, copy[0]]
+    norms = np.sum(x * x, axis=0)
+    if np.any(norms < 1e-6):
+        x[:, norms < 1e-6] = 1.0  # no column may vanish: H has a unit diagonal
+    r = np.array(draw(st.lists(_UNIT, min_size=rows, max_size=rows)))
+    r /= max(np.max(np.abs(r)), 1e-300)  # g scales the drop by |g|^2; keep that off the subnormals
+    scale = 1.0 / np.sqrt(np.sum(x * x, axis=0))
+    return (x.T @ x) * np.outer(scale, scale), (x.T @ r) * scale
+
+
+_LAMBDAS = st.floats(min_value=-14.0, max_value=3.0).map(lambda e: 10.0 ** e)
+
+
+def _lower(h):
+    return h[np.tril_indices(4)].tolist()
+
+
+class TestDampedSolve:
+    """The unrolled Cholesky solve of (H + lam*I) u = -g against numpy, each
+    to n^2 = 16 ulps times the condition number of H + lam*I."""
+
+    @given(_scaled_normal_equations(), _LAMBDAS)
+    def test_matches_numpy_solve_and_the_eigenbasis_drop(self, system, lam):
+        h, g = system
+        damped = h + lam * np.eye(4)
+        eig = np.linalg.eigvalsh(damped)
+        tol = 16.0 * _EPS * eig[-1] / eig[0]
+        u, drop = _damped_solve(_lower(h), g.tolist(), lam)
+        want = np.linalg.solve(damped, -g)
+        assert np.linalg.norm(np.subtract(u, want)) <= tol * np.linalg.norm(want)
+        w, v = np.linalg.eigh(h)
+        gv = v.T @ g
+        want_drop = float(np.sum(gv * gv / (w + lam) ** 2 * (w + 2.0 * lam)))
+        assert abs(drop - want_drop) <= tol * want_drop
+
+    @given(_scaled_normal_equations(), _LAMBDAS, st.floats(min_value=1e-6, max_value=1.0))
+    def test_indefinite_matrix_damps_more(self, system, lam, depth):
+        # H - shift*I + lam*I has its least eigenvalue at -depth
+        h, g = system
+        shift = np.linalg.eigvalsh(h)[0] + lam + depth
+        assert _damped_solve(_lower(h - shift * np.eye(4)), g.tolist(), lam) is None
+
+
+class TestLinalgCalls:
+    """The LM loop stays off numpy's small-matrix wrappers: a fit from a given
+    start calls np.linalg once, for the SVD of the final Jacobian."""
+
+    def test_a_fit_calls_only_the_svd(self, config_path, monkeypatch):
+        traces = [_bundled_trace(config_path, seed) for seed in range(10)]
+        starts = [initial_guess(trace, clearance_db=trace.metadata["clearance_db"],
+                                jitter_sigma=trace.acquisition.lo_scan.jitter_sigma)
+                  for trace in traces]
+        want = [fit_trace(trace, start) for trace, start in zip(traces, starts)]
+        svd, calls = np.linalg.svd, []
+
+        def counted_svd(*args, **kwargs):
+            calls.append(None)
+            return svd(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fit called an np.linalg function other than svd")
+
+        for name in np.linalg.__all__:
+            if name != "svd" and not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, forbidden)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        got = [fit_trace(trace, start) for trace, start in zip(traces, starts)]
+        assert len(calls) == len(traces)
+        for a, b in zip(got, want):
+            assert (a.model, a.levels, a.iterations, a.converged) == (b.model, b.levels,
+                                                                      b.iterations, b.converged)
+            assert np.array_equal(a.covariance, b.covariance)
+            assert np.array_equal(a.objective_history, b.objective_history)
 
 
 class TestUndeterminedLevel:
