@@ -25,12 +25,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from decimal import Context, Decimal
 
 import numpy as np
 
 from .opo import ParameterDomainError, min_max_levels, quadrature_variance, to_db
 
 _REAL = (float, int, numbers.Real)  # float and int first: they skip the slow ABC check
+_MAX_INDEX = int(np.iinfo(np.intp).max)  # the largest count numpy can index
 
 
 def circuit_noise_floor(clearance_db) -> float:
@@ -79,10 +81,14 @@ class PhaseScan:
     jitter_sigma: float = 0.0
 
     def __post_init__(self):
-        if not self.period > 0.0:
-            raise ParameterDomainError(f"scan period must be > 0, got {self.period}")
-        if not self.jitter_sigma >= 0.0:
-            raise ParameterDomainError(f"jitter_sigma must be >= 0, got {self.jitter_sigma}")
+        if not 0.0 < self.period < math.inf:
+            raise ParameterDomainError(f"scan period must be > 0 and finite, got {self.period}")
+        if not self.rate < math.inf:
+            raise ParameterDomainError(f"period {self.period} s gives a scan rate 2*pi/period that overflows")
+        if not math.isfinite(self.theta0):
+            raise ParameterDomainError(f"theta0 must be finite, got {self.theta0}")
+        if not 0.0 <= self.jitter_sigma < math.inf:
+            raise ParameterDomainError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}")
 
     @property
     def rate(self) -> float:
@@ -105,12 +111,17 @@ class AcquisitionSettings:
         if not isinstance(self.sample_count, (int, np.integer)):
             raise ParameterDomainError("sample_count must be an integer")
         for name in ("center_frequency", "resolution_bandwidth", "video_bandwidth", "sweep_duration"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterDomainError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ParameterDomainError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not self.video_bandwidth <= self.resolution_bandwidth:
             raise ParameterDomainError("video_bandwidth must not exceed resolution_bandwidth")
+        if not 2.0 * self.resolution_bandwidth / self.video_bandwidth < math.inf:
+            raise ParameterDomainError(f"video_bandwidth {self.video_bandwidth} Hz overflows 2*RBW/VBW")
         if not self.sample_count >= 2:
             raise ParameterDomainError(f"sample_count must be >= 2, got {self.sample_count}")
+        if not self.sample_count <= _MAX_INDEX:  # shown to 3 digits: float() overflows above 1.8e308
+            shown = Decimal(self.sample_count).normalize(Context(prec=3))
+            raise ParameterDomainError(f"sample_count must be at most {_MAX_INDEX}, got {shown:g}")
 
     @property
     def times(self) -> np.ndarray:
@@ -146,6 +157,8 @@ class NoiseTrace:
             raise ParameterDomainError("sample times must be finite")
         if not np.all(np.isfinite(p)):
             raise ParameterDomainError("power values must be finite")
+        if not math.isfinite(self.shot_reference_db):
+            raise ParameterDomainError(f"shot_reference_db must be finite, got {self.shot_reference_db}")
 
     def __len__(self) -> int:
         return int(self.times.size)

@@ -71,10 +71,9 @@ class CavityParams:
             raise ParameterDomainError(f"intracavity_loss must be in [0, 1), got {L}")
         if not T + L < 1.0:
             raise ParameterDomainError(f"total loss T + L must be < 1, got {T + L}")
-        if not self.round_trip_length > 0.0:
-            raise ParameterDomainError(f"round_trip_length must be > 0, got {self.round_trip_length}")
-        if not self.nonlinear_efficiency > 0.0:
-            raise ParameterDomainError(f"nonlinear_efficiency must be > 0, got {self.nonlinear_efficiency}")
+        for name in ("round_trip_length", "nonlinear_efficiency"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ParameterDomainError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

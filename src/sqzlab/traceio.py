@@ -8,8 +8,9 @@ reproduces the trace bit for bit.
 
 The header is stated once, in _ACQUISITION_HEADER and _SCAN_HEADER (key ->
 constructor field and type, in file order), which serialize_trace and
-parse_trace both walk; their numbers must be finite.  The shot-noise
-reference level and then the metadata, in key order, follow them.
+parse_trace both walk; the shot-noise reference level and then the metadata,
+in key order, follow them.  The reader checks the format only: the types it
+builds own each value's domain, finiteness included.
 
 Both directions run at array speed on the files this module writes.
 serialize_trace formats the whole data block in one pass of ``repr`` and
@@ -25,7 +26,6 @@ or a serialize triggers no garbage collection.
 
 from __future__ import annotations
 
-import math
 from decimal import Decimal
 
 import numpy as np
@@ -75,15 +75,9 @@ def _parse_value(text: str):
     return text
 
 
-def _finite(key: str, value):
-    if not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {value}")
-    return value
-
-
 def _header_fields(header: dict[str, str], table) -> dict:
     """Pop one object's header values as its constructor fields."""
-    return {field: _finite(key, kind(header.pop(key))) for key, (field, kind) in table.items()}
+    return {field: kind(header.pop(key)) for key, (field, kind) in table.items()}
 
 
 def serialize_trace(trace: NoiseTrace) -> str:
@@ -172,9 +166,8 @@ def parse_trace(text: str) -> NoiseTrace:
     try:
         scan = PhaseScan(**_header_fields(header, _SCAN_HEADER))
         acq = AcquisitionSettings(**_header_fields(header, _ACQUISITION_HEADER), lo_scan=scan)
-        shot_ref = _finite(_SHOT_REFERENCE, float(header.pop(_SHOT_REFERENCE, 0.0)))
-        trace = NoiseTrace(times=np.asarray(times), powers_db=np.asarray(powers),
-                           acquisition=acq, shot_reference_db=shot_ref,
+        trace = NoiseTrace(times=np.asarray(times), powers_db=np.asarray(powers), acquisition=acq,
+                           shot_reference_db=float(header.pop(_SHOT_REFERENCE, 0.0)),
                            metadata={key: _parse_value(value) for key, value in header.items()})
     except (ValueError, TypeError) as exc:  # bad header value or inconsistent samples
         raise TraceFormatError(f"invalid trace contents: {exc}") from None

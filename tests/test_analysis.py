@@ -278,6 +278,11 @@ class TestLossOnlyDomain:
         with pytest.raises(ParameterDomainError):
             loss_only_explanation_check(MEASURED, cavity, chain, pump, F0)
 
+    def test_squeezing_level_above_shot_noise_rejected(self, cavity, chain, pump_gain):
+        above = VarianceLevels.from_db(0.5, 7.0)
+        with pytest.raises(ParameterDomainError, match="must lie below shot noise"):
+            loss_only_explanation_check(above, cavity, chain, pump_gain, F0)
+
 
 def _edge_minimum(misfit, lo, hi):
     """Argmin of misfit(t) over [lo, hi] for one edge on its own: a 65-point

@@ -255,6 +255,55 @@ class TestMalformedInputs:
         assert "is not a number" in err
         assert pair.split(",")[0] in err or pair.split(",")[1] in err
 
+    def test_reconcile_needs_a_level_pair(self, capsys, config_path):
+        code, out, err = run_cli(capsys, "reconcile", "--config", str(config_path),
+                                 "--measured=-2.75")
+        assert code == 1
+        assert out == ""
+        assert "expected 'smin_db,smax_db', got '-2.75'" in err
+
+    def test_measured_csv_row_needs_three_fields(self, capsys, config_path, tmp_path):
+        measured = tmp_path / "measured.csv"
+        measured.write_text("power_mw,s_min_db,s_max_db\n47.85,-2.75\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config_path),
+                                 "--gains", "2,5.3", "--measured", str(measured))
+        assert code == 1
+        assert out == ""
+        assert "measured.csv:2: expected 'power_mw,s_min_db,s_max_db'" in err
+
+    def test_synth_needs_an_acquisition_block(self, capsys, config_path, tmp_path):
+        text = config_path.read_text()
+        cfg = tmp_path / "no_acquisition.cfg"
+        cfg.write_text(text[: text.index("[acquisition]")])
+        code, out, err = run_cli(capsys, "synth", "--config", str(cfg), "--seed", "1",
+                                 "--out", str(tmp_path / "trace.csv"))
+        assert code == 1
+        assert out == ""
+        assert "this command needs [acquisition]" in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_synth_with_an_overflowing_estimator_dof_is_an_error(self, capsys, config_path,
+                                                                 tmp_path):
+        cfg = tmp_path / "vbw.cfg"
+        cfg.write_text(config_path.read_text().replace("vbw = 30Hz", "vbw = 1e-320Hz"))
+        code, out, err = run_cli(capsys, "synth", "--config", str(cfg), "--seed", "1",
+                                 "--out", str(tmp_path / "trace.csv"))
+        assert code == 1
+        assert out == ""
+        assert "line 21: video_bandwidth 1e-320 Hz overflows" in err
+
+    def test_fit_of_a_header_with_an_overflowing_scan_rate_is_an_error(self, capsys, config_path,
+                                                                       tmp_path):
+        trace_path = tmp_path / "trace.csv"
+        run_cli(capsys, "synth", "--config", str(config_path), "--seed", "42", "--out", str(trace_path))
+        text = trace_path.read_text()
+        assert "scan_period_s=0.2\n" in text
+        trace_path.write_text(text.replace("scan_period_s=0.2\n", "scan_period_s=1e-320\n"))
+        code, out, err = run_cli(capsys, "fit", "--trace", str(trace_path), "--config", str(config_path))
+        assert code == 1
+        assert out == ""
+        assert "invalid trace contents: period 1e-320 s gives a scan rate" in err
+
     def test_reconcile_at_unit_gain_is_a_domain_error(self, capsys, config_path, tmp_path):
         cfg = tmp_path / "unit_gain.cfg"
         cfg.write_text(config_path.read_text().replace("gain = 5.3", "gain = 1.0"))

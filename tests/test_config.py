@@ -133,6 +133,14 @@ class TestParseErrors:
                                               r"clearance must be finite and > 0 dB, got 0.0$"):
             parse_config(bad)
 
+    def test_duplicate_section(self):
+        with pytest.raises(ConfigError, match=r"^line 26: duplicate section \[pump\]$"):
+            parse_config(GOOD + "[pump]\n")
+
+    def test_empty_value(self):
+        with pytest.raises(ConfigError, match=r"^line 3: empty value for 'T'$"):
+            parse_config(GOOD.replace("T = 0.10", "T ="))
+
     def test_duplicate_key(self):
         bad = GOOD.replace("T = 0.10", "T = 0.10\nT = 0.2")
         with pytest.raises(ConfigError, match="duplicate key 'T'"):
@@ -223,6 +231,21 @@ class TestNonFiniteNumbers:
     def test_count_kind_gives_an_int(self):
         value = parse_quantity("401", "count", "samples", "line 1")
         assert value == 401 and isinstance(value, int)
+
+
+class TestDerivedDomains:
+    """A value whose derived quantity overflows is reported on its key's line."""
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("vbw = 30Hz", "vbw = 1e-320Hz", r"^line 18: video_bandwidth 1e-320 Hz overflows 2\*RBW/VBW$"),
+        ("samples = 401", "samples = 1e300", r"^line 20: sample_count must be at most \d+, got 1e\+300$"),
+        ("period = 0.2s", "period = 1e-320s",
+         r"^line 23: period 1e-320 s gives a scan rate 2\*pi/period that overflows$"),
+    ])
+    def test_overflowing_derived_quantity_names_key_and_line(self, old, new, message):
+        assert old in GOOD
+        with pytest.raises(ConfigError, match=message):
+            parse_config(GOOD.replace(old, new))
 
 
 class TestDefaultScan:

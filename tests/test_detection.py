@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from sqzlab import (
     AcquisitionSettings,
     DetectionChain,
+    NoiseTrace,
     ParameterDomainError,
     PhaseScan,
     apply_circuit_noise,
@@ -108,6 +110,10 @@ def _analytic_jitter(theta0, sigma, alpha, rho, x, omega_norm):
 
 
 class TestJitterAveraging:
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ParameterDomainError, match=r"^jitter sigma must be >= 0, got -0.1$"):
+            jitter_averaged_variance(0.0, -0.1, ALPHA, RHO, X, OMEGA)
+
     def test_zero_jitter_is_identity(self):
         for theta0 in (0.0, 0.4, math.pi / 2):
             assert jitter_averaged_variance(theta0, 0.0, ALPHA, RHO, X, OMEGA) == pytest.approx(
@@ -182,6 +188,56 @@ class TestAcquisitionSettings:
     def test_sample_count_minimum(self):
         with pytest.raises(ParameterDomainError):
             _acq(samples=1)
+
+
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+
+class TestValueDomains:
+    """Each type rejects every value the code cannot use, the quantities it
+    derives included, with a message that starts with the field name (the
+    scan period keeps its older prefix)."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"period": math.inf}, r"^scan period must be > 0 and finite, got inf$"),
+        ({"period": 1e-320}, r"^period 1e-320 s gives a scan rate 2\*pi/period that overflows$"),
+        ({"theta0": math.nan}, r"^theta0 must be finite, got nan$"),
+        ({"theta0": -math.inf}, r"^theta0 must be finite, got -inf$"),
+        ({"jitter_sigma": math.inf}, r"^jitter_sigma must be finite and >= 0, got inf$"),
+    ])
+    def test_phase_scan(self, fields, message):
+        with pytest.raises(ParameterDomainError, match=message):
+            replace(PhaseScan(period=0.2), **fields)
+
+    def test_smallest_period_with_a_finite_rate_accepted(self):
+        assert PhaseScan(period=1e-300).rate == 2.0 * math.pi / 1e-300
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"resolution_bandwidth": 0.0}, r"^resolution_bandwidth must be finite and > 0, got 0.0$"),
+        ({"resolution_bandwidth": math.inf}, r"^resolution_bandwidth must be finite and > 0, got inf$"),
+        ({"center_frequency": math.inf}, r"^center_frequency must be finite and > 0, got inf$"),
+        ({"sweep_duration": math.nan}, r"^sweep_duration must be finite and > 0, got nan$"),
+        ({"video_bandwidth": 1e-320}, r"^video_bandwidth 1e-320 Hz overflows 2\*RBW/VBW$"),
+        ({"sample_count": int(1e300)}, rf"^sample_count must be at most {_INTP_MAX}, got 1e\+300$"),
+        ({"sample_count": 10 ** 400}, rf"^sample_count must be at most {_INTP_MAX}, got 1e\+400$"),
+        ({"sample_count": _INTP_MAX + 1}, rf"^sample_count must be at most {_INTP_MAX}, got "),
+    ])
+    def test_acquisition_settings(self, fields, message):
+        with pytest.raises(ParameterDomainError, match=message):
+            replace(_acq(), **fields)
+
+    def test_largest_indexable_count_accepted(self):
+        assert replace(_acq(), sample_count=_INTP_MAX).sample_count == _INTP_MAX
+
+    @pytest.mark.parametrize("times, powers, shot_reference_db, message", [
+        ([0.0, 0.1, 0.2], [1.0, 2.0], 0.0, r"^times and powers_db must be 1-D arrays of equal length$"),
+        ([0.0, 0.2, 0.1], [1.0, 2.0, 3.0], 0.0, r"^sample times must be strictly increasing$"),
+        ([0.0, 0.1, 0.2], [1.0, 2.0, 3.0], math.nan, r"^shot_reference_db must be finite, got nan$"),
+        ([0.0, 0.1, 0.2], [1.0, 2.0, 3.0], math.inf, r"^shot_reference_db must be finite, got inf$"),
+    ])
+    def test_noise_trace(self, times, powers, shot_reference_db, message):
+        with pytest.raises(ParameterDomainError, match=message):
+            NoiseTrace(np.array(times), np.array(powers), _acq(samples=3), shot_reference_db)
 
 
 class TestSynthesis:

@@ -588,6 +588,37 @@ class TestDampedSolve:
         assert _damped_solve(_lower(h - shift * np.eye(4)), g.tolist(), lam) is None
 
 
+class TestDampMore:
+    """A non-positive pivot in the loop multiplies lam by 4 and solves again,
+    without evaluating the model; the fit still reaches the same optimum."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_first_solve_without_a_positive_pivot(self, config_path, seed, monkeypatch):
+        trace = _bundled_trace(config_path, seed)
+        want = fit_trace(trace)
+        events = []
+
+        def solve_none_first(h, g, lam):
+            first = all(kind != "solve" for kind, _ in events)
+            events.append(("solve", lam))
+            return None if first else _damped_solve(h, g, lam)
+
+        def counted_model(*args):
+            events.append(("model", None))
+            return _model_and_jacobian(*args)
+
+        monkeypatch.setattr(fitting, "_damped_solve", solve_none_first)
+        monkeypatch.setattr(fitting, "_model_and_jacobian", counted_model)
+        got = fit_trace(trace)
+        solves = [i for i, (kind, _) in enumerate(events) if kind == "solve"]
+        first, second = solves[0], solves[1]
+        assert all(kind == "solve" for kind, _ in events[first:second + 1])
+        assert events[second][1] == 4.0 * events[first][1]
+        assert got.converged
+        assert got.levels.s_min_db == pytest.approx(want.levels.s_min_db, abs=1e-6)
+        assert got.levels.s_max_db == pytest.approx(want.levels.s_max_db, abs=1e-6)
+
+
 class TestLinalgCalls:
     """The LM loop stays off numpy's small-matrix wrappers: a fit from a given
     start calls np.linalg once, for the SVD of the final Jacobian."""

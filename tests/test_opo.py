@@ -316,3 +316,14 @@ class TestCavityValidation:
     def test_bad_nonlinearity(self):
         with pytest.raises(ParameterDomainError, match="nonlinear_efficiency"):
             CavityParams(0.6, 0.1, 0.01, 0.0)
+
+    @pytest.mark.parametrize("fields, message", [
+        ((0.6, 0.1, 1.0, 0.02), r"^intracavity_loss must be in \[0, 1\), got 1.0$"),
+        ((math.inf, 0.1, 0.01, 0.02), r"^round_trip_length must be finite and > 0, got inf$"),
+        ((math.nan, 0.1, 0.01, 0.02), r"^round_trip_length must be finite and > 0, got nan$"),
+        ((0.6, 0.1, 0.01, math.inf), r"^nonlinear_efficiency must be finite and > 0, got inf$"),
+    ])
+    def test_out_of_domain_field(self, fields, message):
+        # an infinite length used to reach spectral_point as a zero decay rate
+        with pytest.raises(ParameterDomainError, match=message):
+            CavityParams(*fields)

@@ -139,6 +139,19 @@ class TestHeaderNumbers:
         with pytest.raises(TraceFormatError, match="invalid trace contents"):
             parse_trace(text.replace(old, new))
 
+    # finite values whose derived quantity overflows: the types own that domain
+    @pytest.mark.parametrize("old, new, message", [
+        ("scan_period_s=0.2", "scan_period_s=1e-320", "period 1e-320 s gives a scan rate"),
+        ("vbw_hz=30.0", "vbw_hz=1e-320", "video_bandwidth 1e-320 Hz overflows"),
+        ("samples=401", "samples=" + "9" * 400, "sample_count must be at most"),
+    ])
+    def test_header_number_outside_its_types_domain_rejected(self, chain, acquisition, old, new,
+                                                              message):
+        text = serialize_trace(synthesize_trace(0.8, 0.8, 0.5, 0.1, chain, acquisition, 4))
+        assert old in text
+        with pytest.raises(TraceFormatError, match=f"^invalid trace contents: {message}"):
+            parse_trace(text.replace(old, new))
+
     def test_fractional_sample_count_rejected(self):
         text = serialize_trace(_trace([0.0, 0.1, 0.2, 0.3], [1.0, -1.0, 0.5, 0.0]))
         with pytest.raises(TraceFormatError, match="invalid trace contents"):
