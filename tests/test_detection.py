@@ -195,8 +195,8 @@ _INTP_MAX = int(np.iinfo(np.intp).max)
 
 class TestValueDomains:
     """Each type rejects every value the code cannot use, the quantities it
-    derives included, with a message that starts with the field name (the
-    scan period keeps its older prefix)."""
+    derives included, with a message that starts with the field name; the
+    positive-period message starts 'scan period', which TestDefaultScan pins."""
 
     @pytest.mark.parametrize("fields, message", [
         ({"period": math.inf}, r"^scan period must be > 0 and finite, got inf$"),
