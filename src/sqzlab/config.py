@@ -181,7 +181,8 @@ def _build(sections, section_lines, name: str, **nested: str):
     Parses the section's values onto constructor fields and checks its
     required keys, then builds each ``nested`` field from the section it
     names.  A ParameterDomainError moves onto the line of the key whose
-    field it names, else onto the section header line.
+    field its message starts with, alone or after the section name ("scan
+    period ..."), else onto the section header line.
     """
     constructor, keys = _SCHEMA[name]
     fields, field_lines = {}, {}
@@ -199,7 +200,8 @@ def _build(sections, section_lines, name: str, **nested: str):
         return constructor(**fields)
     except ParameterDomainError as exc:
         message = str(exc)
-        lineno = next((line for field, line in field_lines.items() if message.startswith(field)),
+        lineno = next((line for field, line in field_lines.items()
+                       if message.startswith((field, f"{name} {field}"))),
                       section_lines[name])
         raise ConfigError(f"line {lineno}: {message}") from None
 

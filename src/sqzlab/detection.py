@@ -125,7 +125,12 @@ class AcquisitionSettings:
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.sweep_duration, self.sample_count)
+        try:
+            return np.linspace(0.0, self.sweep_duration, self.sample_count)
+        except (MemoryError, ValueError, IndexError):  # numpy cannot size or allocate the array
+            raise ParameterDomainError(
+                f"sample_count {self.sample_count} is more float64 times than numpy can allocate "
+                f"({8 * self.sample_count:.3g} bytes)") from None
 
     @property
     def estimator_dof(self) -> int:
@@ -151,11 +156,11 @@ class NoiseTrace:
         object.__setattr__(self, "powers_db", p)
         if t.shape != p.shape or t.ndim != 1:
             raise ParameterDomainError("times and powers_db must be 1-D arrays of equal length")
-        if t.size >= 2 and not np.all(np.diff(t) > 0.0):
+        if not (t[1:] > t[:-1]).all():
             raise ParameterDomainError("sample times must be strictly increasing")
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise ParameterDomainError("sample times must be finite")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise ParameterDomainError("power values must be finite")
         if not math.isfinite(self.shot_reference_db):
             raise ParameterDomainError(f"shot_reference_db must be finite, got {self.shot_reference_db}")

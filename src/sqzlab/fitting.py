@@ -34,7 +34,8 @@ fixed, known value.
 
 The start needs no search: in linear power the mean trace is linear in
 (A, B*cos 2*theta0, B*sin 2*theta0) at the known scan rate (the separable
-structure of Golub & Pereyra, 1973), so initial_guess is one regression.
+structure of Golub & Pereyra, 1973), so initial_guess is one regression,
+solved as 3x3 normal equations by an unrolled Cholesky on Python floats.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ _MAX_ITERATIONS = 200  # LM iteration cap; the fit then returns converged=False
 _FTOL = 1e-12  # relative SSR decrease considered converged
 _XTOL = 1e-10  # max parameter step considered converged
 _LAMBDA0 = 1e-3  # initial LM damping
+# initial_guess's normal equations square the design's condition number: a
+# Cholesky pivot is a difference of terms of the size of its diagonal entry,
+# so it carries a rounding error of about eps times that entry, and at this
+# fraction of it keeps ~4 digits, enough for one refinement step to restore
+# the rest.  Below it the sweep covers too little phase to tell 1, cos and
+# sin apart, and rounding, not the trace, would set the start.
+_PIVOT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -150,12 +158,10 @@ def _model_and_jacobian(p: np.ndarray, t: np.ndarray, floor: float, jitter: floa
         model += 2.0 * math.log(0.5 * (sh + sl)) - math.log1p(floor)
         model /= _LN10_OVER_10
         # d ln(S + n) / d r = 2*Re h[1]
-        np.multiply(h[1].real, -2.0 * sh * u, out=jt[0])
-        jt[0] += 1.0
-        jt[0] *= s_min * u / sl
-        np.multiply(h[1].real, 2.0 * sl * u, out=jt[1])
-        jt[1] += 1.0
-        jt[1] *= s_max * u / sh
+        levels = jt[:2]
+        np.multiply.outer((-2.0 * sh * u, 2.0 * sl * u), h[1].real, out=levels)
+        levels += 1.0
+        levels *= np.array(((s_min * u / sl,), (s_max * u / sh,)))
         np.multiply(h[1].imag, -4.0 * r, out=jt[2])
         jt[2] /= _LN10_OVER_10
     else:
@@ -318,28 +324,62 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     and LM trial steps overflow.  A jitter so wide that exp(-2*sigma^2)
     underflows to 0 leaves no modulation and raises ParameterDomainError, as
     do a clearance that is not finite and > 0 dB and a sample too large for
-    its linear power to be finite (above about 3082 dB)."""
+    its linear power to be finite (above about 3082 dB).  The regression
+    solves (D D^T) c = D s for the (3, N) design D of rows [1, cos, sin]; a
+    Cholesky pivot at or below _PIVOT_RTOL of its diagonal entry (a sweep
+    over too little phase to separate them, e.g. 10 us at a 0.2 s period)
+    raises ParameterDomainError."""
     contrast = math.exp(-2.0 * jitter_sigma * jitter_sigma)
     if contrast == 0.0:
         raise ParameterDomainError(
             f"jitter_sigma = {jitter_sigma} rad washes out the phase modulation "
             "(exp(-2*sigma^2) underflows to 0), so the levels cannot be fitted")
+    if len(trace) < 3:
+        raise ParameterDomainError(f"need at least 3 samples to regress on [1, cos, sin], got {len(trace)}")
     floor = circuit_noise_floor(clearance_db)
     rate = trace.acquisition.lo_scan.rate
-    phase = 2.0 * rate * trace.times
-    design = np.column_stack((np.ones_like(phase), np.cos(phase), np.sin(phase)))
+    design = np.empty((3, len(trace)))
+    design[0] = 1.0
+    phase = np.multiply(2.0 * rate, trace.times, out=design[2])
+    np.cos(phase, out=design[1])
+    np.sin(phase, out=design[2])
     with np.errstate(over="ignore"):
         s = 10.0 ** (trace.powers_db / 10.0) * (1.0 + floor) - floor
     if not np.isfinite(s).all():
         raise ParameterDomainError(
             f"the trace sample of {trace.powers_db.max()} dB overflows as a linear power, "
             "so the levels cannot be fitted")
-    (a, bc, bs), *_ = np.linalg.lstsq(design, s, rcond=None)
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = (design @ design.T).tolist()
+    l00 = math.sqrt(h00)  # h00 = N >= 3
+    l10, l20 = h01 / l00, h02 / l00
+    p1 = h11 - l10 * l10
+    l11 = math.sqrt(p1) if p1 > _PIVOT_RTOL * h11 else math.nan  # NaN fails the test below
+    l21 = (h12 - l20 * l10) / l11
+    p2 = h22 - l20 * l20 - l21 * l21
+    if not p2 > _PIVOT_RTOL * h22:
+        span = 2.0 * rate * (trace.times[-1] - trace.times[0])
+        raise ParameterDomainError(
+            f"the trace sweeps {span:.3g} rad of 2*theta, too little to separate the mean "
+            "level from the phase modulation, so the levels cannot be fitted")
+    l22 = math.sqrt(p2)
+
+    def solve(g):  # L L^T c = D g by forward and back substitution
+        g0, g1, g2 = (design @ g).tolist()
+        z0 = g0 / l00
+        z1 = (g1 - l10 * z0) / l11
+        z2 = (g2 - l20 * z0 - l21 * z1) / l22
+        c2 = z2 / l22
+        c1 = (z1 - l21 * c2) / l11
+        return (z0 - l10 * c1 - l20 * c2) / l00, c1, c2
+
+    c = solve(s)
+    a, bc, bs = (ci + di for ci, di in zip(c, solve(s - np.dot(c, design))))
     a = max(a, floor)
     b = math.hypot(bc, bs) / contrast
     lo, hi = max(a - b, _MIN_START_FRACTION * a), a + b
+    theta0 = 0.5 * math.atan2(-bs, bc) % math.pi  # a tiny negative angle rounds up to pi
     return FitModel(s_min_db=10.0 * math.log10(lo), s_max_db=10.0 * math.log10(hi),
-                    theta0=0.5 * math.atan2(-bs, bc) % math.pi, scan_rate=rate,
+                    theta0=theta0 if theta0 < math.pi else 0.0, scan_rate=rate,
                     omega_norm=omega_norm, clearance_db=clearance_db,
                     jitter_sigma=jitter_sigma)
 
@@ -394,7 +434,7 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None) -> FitResult:
     if rank < _N_FREE:
         unbounded = np.abs(vt[rank:]).max(axis=0) > _RANK_RTOL
         cov[unbounded, unbounded] = math.inf
-    sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    sigmas = np.sqrt(np.maximum(cov.diagonal(), 0.0))
     # the phase is meaningful only if the modulation amplitude is established
     # well beyond its own uncertainty; a flat trace fits a small noise ripple
     modulation = p[1] - p[0]

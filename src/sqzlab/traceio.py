@@ -136,7 +136,7 @@ def _plain_samples(block: str):
         return None
     # one comma per row, so no blank row either: commas and LFs alternate, a comma first
     chars = np.frombuffer(block.encode(), np.uint8)
-    commas, ends = np.flatnonzero(chars == ord(",")), np.flatnonzero(chars == ord("\n"))
+    (commas,), (ends,) = (chars == ord(",")).nonzero(), (chars == ord("\n")).nonzero()
     if commas.size != ends.size or (commas > ends).any() or (commas[1:] < ends[:-1]).any():
         return None
     values = block.replace("\n", ",").split(",")
