@@ -130,7 +130,7 @@ class AcquisitionSettings:
         except (MemoryError, ValueError, IndexError):  # numpy cannot size or allocate the array
             raise ParameterDomainError(
                 f"sample_count {self.sample_count} is more float64 times than numpy can allocate "
-                f"({8 * self.sample_count:.3g} bytes)") from None
+                f"({8 * int(self.sample_count):.3g} bytes)") from None
 
     @property
     def estimator_dof(self) -> int:

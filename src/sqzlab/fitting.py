@@ -35,7 +35,9 @@ fixed, known value.
 The start needs no search: in linear power the mean trace is linear in
 (A, B*cos 2*theta0, B*sin 2*theta0) at the known scan rate (the separable
 structure of Golub & Pereyra, 1973), so initial_guess is one regression,
-solved as 3x3 normal equations by an unrolled Cholesky on Python floats.
+solved as 3x3 normal equations by an unrolled Cholesky on Python floats and
+refined once on its residual (iterative refinement, Bjorck 1996).  A sweep over too
+little phase to separate 1, cos and sin is rejected, not fitted.
 """
 
 from __future__ import annotations
@@ -325,10 +327,11 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     underflows to 0 leaves no modulation and raises ParameterDomainError, as
     do a clearance that is not finite and > 0 dB and a sample too large for
     its linear power to be finite (above about 3082 dB).  The regression
-    solves (D D^T) c = D s for the (3, N) design D of rows [1, cos, sin]; a
-    Cholesky pivot at or below _PIVOT_RTOL of its diagonal entry (a sweep
-    over too little phase to separate them, e.g. 10 us at a 0.2 s period)
-    raises ParameterDomainError."""
+    solves (D D^T) c = D s for the (3, N) design D of rows [1, cos, sin] by
+    Cholesky, then once more for the residual's correction; fewer than 3
+    samples, or a pivot at or below _PIVOT_RTOL of its diagonal entry (a
+    sweep over too little phase to separate the rows, e.g. 10 us at a 0.2 s
+    period), raise ParameterDomainError."""
     contrast = math.exp(-2.0 * jitter_sigma * jitter_sigma)
     if contrast == 0.0:
         raise ParameterDomainError(
