@@ -36,8 +36,8 @@ The start needs no search: in linear power the mean trace is linear in
 (A, B*cos 2*theta0, B*sin 2*theta0) at the known scan rate (the separable
 structure of Golub & Pereyra, 1973), so initial_guess is one regression,
 solved as 3x3 normal equations by an unrolled Cholesky on Python floats and
-refined once on its residual (iterative refinement, Bjorck 1996).  A sweep over too
-little phase to separate 1, cos and sin is rejected, not fitted.
+refined once on its residual (iterative refinement, Bjorck 1996).  A sweep
+over too little phase to separate 1, cos and sin is rejected, not fitted.
 """
 
 from __future__ import annotations

@@ -304,6 +304,32 @@ class TestMalformedInputs:
         assert out == ""
         assert "invalid trace contents: period 1e-320 s gives a scan rate" in err
 
+    @pytest.mark.parametrize("count", ["1e17", "2e18"])  # 8e17 and 1.6e19 bytes of times
+    def test_synth_with_an_unallocatable_sample_count_is_an_error(self, capsys, config_path,
+                                                                  tmp_path, count):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(config_path.read_text().replace("samples = 401", f"samples = {count}"))
+        code, out, err = run_cli(capsys, "synth", "--config", str(cfg), "--seed", "1",
+                                 "--out", str(tmp_path / "trace.csv"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: sample_count {int(float(count))} is more float64 times")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_fit_of_a_sweep_too_short_to_separate_the_regressors_is_an_error(self, capsys,
+                                                                             config_path, tmp_path):
+        cfg, trace_path = tmp_path / "short.cfg", tmp_path / "short.csv"
+        cfg.write_text(config_path.read_text().replace("sweep = 0.2s", "sweep = 1e-5s"))
+        code, _, _ = run_cli(capsys, "synth", "--config", str(cfg), "--seed", "1",
+                             "--out", str(trace_path))
+        assert code == 0
+        code, out, err = run_cli(capsys, "fit", "--trace", str(trace_path), "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the trace sweeps 0.000628 rad of 2*theta, too little")
+        assert err.count("\n") == 1
+
     def test_reconcile_at_unit_gain_is_a_domain_error(self, capsys, config_path, tmp_path):
         cfg = tmp_path / "unit_gain.cfg"
         cfg.write_text(config_path.read_text().replace("gain = 5.3", "gain = 1.0"))

@@ -255,6 +255,14 @@ class TestDefaultScan:
             parse_config(text)
 
 
+class TestExplicitScan:
+    def test_zero_period_is_located_on_its_line(self, config_path):
+        text = config_path.read_text()
+        assert text.splitlines()[25].startswith("period = 0.2s")
+        with pytest.raises(ConfigError, match=r"^line 26: scan period must be > 0"):
+            parse_config(text.replace("period = 0.2s", "period = 0s"))
+
+
 BUNDLED_TEXT = """\
 [cavity]
 l = 0.6m

@@ -229,6 +229,14 @@ class TestValueDomains:
     def test_largest_indexable_count_accepted(self):
         assert replace(_acq(), sample_count=_INTP_MAX).sample_count == _INTP_MAX
 
+    # 8 bytes per time: 8e17 bytes and more exceed the 57-bit virtual address
+    # space of any 64-bit CPU, so no overcommit can grant them
+    @pytest.mark.parametrize("count", [10 ** 17, 2 * 10 ** 18, _INTP_MAX, np.int64(_INTP_MAX)])
+    def test_count_numpy_cannot_allocate_is_a_domain_error(self, count):
+        with pytest.raises(ParameterDomainError,
+                           match=rf"^sample_count {count} is more float64 times than numpy can allocate"):
+            replace(_acq(), sample_count=count).times
+
     @pytest.mark.parametrize("times, powers, shot_reference_db, message", [
         ([0.0, 0.1, 0.2], [1.0, 2.0], 0.0, r"^times and powers_db must be 1-D arrays of equal length$"),
         ([0.0, 0.2, 0.1], [1.0, 2.0, 3.0], 0.0, r"^sample times must be strictly increasing$"),

@@ -481,11 +481,12 @@ class TestDampingLoopStop:
         assert len(calls) <= 30
 
 
-def _bundled_trace(config_path, seed):
+def _bundled_trace(config_path, seed, sweep=None):
     cfg = load_config(config_path)
     point = operating_point(cfg.cavity, cfg.detection, cfg.pump,
                             cfg.acquisition.center_frequency)
-    return synthesize_trace(*point, cfg.detection, cfg.acquisition, seed)
+    acq = cfg.acquisition if sweep is None else replace(cfg.acquisition, sweep_duration=sweep)
+    return synthesize_trace(*point, cfg.detection, acq, seed)
 
 
 class TestPredictedDropStop:
@@ -649,6 +650,78 @@ class TestLinalgCalls:
                                                                       b.iterations, b.converged)
             assert np.array_equal(a.covariance, b.covariance)
             assert np.array_equal(a.objective_history, b.objective_history)
+
+    def test_an_auto_start_fit_calls_only_the_svd(self, config_path, monkeypatch):
+        """initial_guess solves its 3x3 normal equations on Python floats."""
+        traces = [_bundled_trace(config_path, seed) for seed in range(10)]
+        want = [fit_trace(trace) for trace in traces]
+        svd, calls = np.linalg.svd, []
+
+        def counted_svd(*args, **kwargs):
+            calls.append(None)
+            return svd(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fit called an np.linalg function other than svd")
+
+        for name in np.linalg.__all__:
+            if name != "svd" and not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, forbidden)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        got = [fit_trace(trace) for trace in traces]
+        assert len(calls) == len(traces)
+        for a, b in zip(got, want):
+            assert (a.model, a.levels, a.iterations, a.converged) == (b.model, b.levels,
+                                                                      b.iterations, b.converged)
+
+
+def _lstsq_start(trace, clearance_db, jitter_sigma):
+    """initial_guess's start, with its regression solved by np.linalg.lstsq."""
+    floor = 10.0 ** (-clearance_db / 10.0)
+    phase = 2.0 * trace.acquisition.lo_scan.rate * trace.times
+    design = np.column_stack((np.ones_like(phase), np.cos(phase), np.sin(phase)))
+    s = 10.0 ** (trace.powers_db / 10.0) * (1.0 + floor) - floor
+    (a, bc, bs), *_ = np.linalg.lstsq(design, s, rcond=None)
+    a = max(a, floor)
+    b = math.hypot(bc, bs) / math.exp(-2.0 * jitter_sigma * jitter_sigma)
+    lo, hi = max(a - b, 0.01 * a), a + b
+    return 10.0 * math.log10(lo), 10.0 * math.log10(hi), 0.5 * math.atan2(-bs, bc) % math.pi
+
+
+class TestNormalEquationStart:
+    """initial_guess solves the regression as normal equations, whose pivots
+    shrink with the phase the sweep covers; it must match a least-squares
+    solver while 1, cos and sin are separable, and refuse once they are not."""
+
+    @pytest.mark.parametrize("sweep", [0.2, 0.05, 1e-3])  # bundled, a quarter period, 1 ms
+    def test_matches_a_lstsq_oracle(self, config_path, sweep):
+        trace = _bundled_trace(config_path, 42, sweep)
+        jitter = trace.acquisition.lo_scan.jitter_sigma
+        guess = initial_guess(trace, clearance_db=trace.metadata["clearance_db"], jitter_sigma=jitter)
+        s_min_db, s_max_db, theta0 = _lstsq_start(trace, trace.metadata["clearance_db"], jitter)
+        assert abs(guess.s_min_db - s_min_db) < 1e-9
+        assert abs(guess.s_max_db - s_max_db) < 1e-9
+        wrapped = (guess.theta0 - theta0) % math.pi
+        assert min(wrapped, math.pi - wrapped) < 1e-9
+
+    # at a 0.2 s period the cos pivot is 3.5e-7 of its diagonal entry for a
+    # 1 ms sweep, 4e-15 for 10 us, and from 1 us down sits at the 4e-16
+    # rounding floor, not at 0, so a test for a non-positive pivot misses it
+    @pytest.mark.parametrize("sweep, span", [(1e-5, "0.000628"), (1e-6, "6.28e-05"),
+                                             (1e-7, "6.28e-06")])
+    def test_a_sweep_too_short_to_separate_the_regressors_is_rejected(self, config_path,
+                                                                       sweep, span):
+        trace = _bundled_trace(config_path, 42, sweep)
+        message = rf"^the trace sweeps {span} rad of 2\*theta, too little to separate"
+        with pytest.raises(ParameterDomainError, match=message):
+            initial_guess(trace, clearance_db=trace.metadata["clearance_db"])
+        with pytest.raises(ParameterDomainError, match=message):
+            fit_trace(trace)
+
+    def test_fewer_samples_than_regressors_rejected(self):
+        acq = _acq(samples=2)
+        with pytest.raises(ParameterDomainError, match=r"^need at least 3 samples .*, got 2$"):
+            initial_guess(NoiseTrace(acq.times, np.zeros(2), acq), clearance_db=CLEARANCE)
 
 
 class TestUndeterminedLevel:
