@@ -22,6 +22,22 @@ Anything else, and any value ``float()`` rejects, takes the line loop over the
 whole text, which gives the same result and is the only source of errors and
 their line numbers.  Neither path keeps one object per row alive, so a parse
 or a serialize triggers no garbage collection.
+
+Traces taken at one set of analyzer settings share their time axis, so the
+module keeps the last axis it wrote or read: its float64 bytes, its row
+tokens and a private read-only array.  serialize_trace formats only the
+power column when the times' bytes match, and a plain block whose time
+tokens equal the kept tokens takes a copy of the kept array and runs
+float() on the powers alone.  Tokens that were read need not be the ones
+serialize_trace writes ("0.10" for 0.1), so they are kept without the
+bytes and only a read can reuse them.  The memo never changes a result:
+every check runs on every call, and a hit gives the same text and arrays
+as a miss.  It pays only when consecutive traces share an axis; one entry,
+replaced whole and read once per call, so threads may share it.
+
+Metadata must read back as written: serialize_trace refuses, with a
+TraceFormatError naming the key, an item parse_trace would read as another
+key or value (see serialize_trace).
 """
 
 from __future__ import annotations
@@ -51,10 +67,15 @@ _SCAN_HEADER = {
     "scan_theta0_rad": ("theta0", float),
     "scan_jitter_rad": ("jitter_sigma", float),
 }
+_RESERVED = {*_ACQUISITION_HEADER, *_SCAN_HEADER, _SHOT_REFERENCE}  # not metadata keys
+# The last time axis written or read (module docstring): (the times' float64
+# bytes, None when read; the row tokens; a private read-only array).
+_last_axis = (None, None, None)
 
 
 class TraceFormatError(ValueError):
-    """Malformed trace file; the message carries the offending line number."""
+    """Malformed trace file, the message carrying the offending line number,
+    or trace metadata that would not read back as written."""
 
 
 def _fmt(value) -> str:
@@ -80,16 +101,63 @@ def _header_fields(header: dict[str, str], table) -> dict:
     return {field: kind(header.pop(key)) for key, (field, kind) in table.items()}
 
 
+def _metadata_line(key, value) -> str:
+    """The header line of one metadata item, or TraceFormatError naming the
+    key when parse_trace would not read the line back as this item."""
+    text = _fmt(value)
+    line = f"# {key}={text}"
+    read_key, _, read_text = line.strip().lstrip("#").strip().partition("=")  # as _read_lines
+    if not isinstance(key, str):
+        problem = "is not a str"
+    elif key in _RESERVED:
+        problem = "names a header field"
+    elif line.splitlines() != [line]:
+        problem = "or its value contains a line break"
+    elif "=" in key:
+        problem = "contains '='"
+    elif read_key.strip() != key:
+        problem = "has surrounding whitespace"
+    elif read_text.strip() != text:
+        problem = f"has the value {text!r}, with surrounding whitespace"
+    elif not isinstance(value, (str, int, float, np.integer, np.floating)):
+        problem = f"has the {type(value).__name__} value {value!r}, which reads back as a str"
+    # a number written with a point reads back as the float it was written from
+    elif ("." not in text or isinstance(value, str)) and _parse_value(text) != value \
+            and value == value:  # NaN reads back as NaN
+        problem = f"has the value {value!r}, which reads back as {_parse_value(text)!r}"
+    else:
+        return line
+    raise TraceFormatError(f"metadata key {key!r} {problem}, so the trace would not read back "
+                           "as written")
+
+
 def serialize_trace(trace: NoiseTrace) -> str:
+    """The trace as text.  TraceFormatError when a metadata item would not
+    read back as written: a key that is not a str, names a header field,
+    contains '=' or a line break or has surrounding whitespace, or a value
+    that is not a str or a number, or whose text has a line break or
+    surrounding whitespace or reads back as another value (the str "1e3"
+    reads back as 1000.0, the float 1e300 as the int 10**300)."""
+    global _last_axis
     acq = trace.acquisition
     header = [(key, getattr(acq, field)) for key, (field, _) in _ACQUISITION_HEADER.items()]
     header += [(key, getattr(acq.lo_scan, field)) for key, (field, _) in _SCAN_HEADER.items()]
-    header += [(_SHOT_REFERENCE, trace.shot_reference_db), *sorted(trace.metadata.items())]
-    lines = [_MAGIC, *(f"# {key}={_fmt(value)}" for key, value in header), _COLUMNS]
-    times, powers = trace.times.tolist(), trace.powers_db.tolist()
-    rows = "".join([f"{t!r},{p!r}\n" for t, p in zip(times, powers)])
+    lines = [_MAGIC, *(f"# {key}={_fmt(value)}" for key, value in header),
+             f"# {_SHOT_REFERENCE}={_fmt(trace.shot_reference_db)}",
+             *(_metadata_line(key, value)
+               for key, value in sorted(trace.metadata.items(), key=lambda item: str(item[0]))),
+             _COLUMNS]
+    axis = trace.times.tobytes()
+    memo = _last_axis
+    hit = axis == memo[0]
+    times = memo[1] if hit else list(map(repr, trace.times.tolist()))
+    powers = trace.powers_db.tolist()
+    rows = "".join([f"{t},{p!r}\n" for t, p in zip(times, powers)])
     if "e" in rows:  # some repr has an exponent: positional decimal value by value
-        rows = "".join([f"{_fmt(t)},{_fmt(p)}\n" for t, p in zip(times, powers)])
+        times = [_fmt(t) for t in trace.times.tolist()]
+        rows = "".join([f"{t},{_fmt(p)}\n" for t, p in zip(times, powers)])
+    if not hit:
+        _last_axis = (axis, times, np.frombuffer(axis))
     return "\n".join(lines) + "\n" + rows
 
 
@@ -129,8 +197,10 @@ def _read_lines(text: str):
 
 def _plain_samples(block: str):
     """(times, powers) of a plain data block, each a contiguous float64 array
-    read with float(); None when the block is not plain or a value is not a
-    number, which leaves the block to the line loop."""
+    read with float(), the times copied from the last axis when its tokens
+    match; None when the block is not plain or a value is not a number, which
+    leaves the block to the line loop."""
+    global _last_axis
     if (not block.endswith("\n") or not block.isascii()
             or any(map(block.__contains__, _NOT_PLAIN))):
         return None
@@ -141,11 +211,17 @@ def _plain_samples(block: str):
         return None
     values = block.replace("\n", ",").split(",")
     del values[-1]  # the empty string after the last LF
+    tokens = values[0::2]
+    memo = _last_axis
+    hit = tokens == memo[1]
     try:
-        samples = np.fromiter(map(float, values), float, len(values))
+        times = memo[2].copy() if hit else np.fromiter(map(float, tokens), float, len(tokens))
+        powers = np.fromiter(map(float, values[1::2]), float, len(tokens))
     except ValueError:
         return None
-    return samples[0::2].copy(), samples[1::2].copy()
+    if not hit:  # read tokens need not be canonical: no key, so a write cannot reuse them
+        _last_axis = (None, tokens, np.frombuffer(times.tobytes()))
+    return times, powers
 
 
 def parse_trace(text: str) -> NoiseTrace:

@@ -1,4 +1,5 @@
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sqzlab import (
     serialize_trace,
     synthesize_trace,
 )
+from sqzlab import traceio
 from sqzlab.traceio import _fmt, _plain_samples, _read_lines
 
 
@@ -65,6 +67,50 @@ class TestRoundTrip:
         trace = _trace([0.0, 0.1], [1.0, -1.0], alpha=0.82, seed=9, label="run-a")
         back = parse_trace(serialize_trace(trace))
         assert back.metadata == {"alpha": 0.82, "seed": 9, "label": "run-a"}
+
+
+class TestMetadataReadsBack:
+    """serialize_trace refuses a metadata item that parse_trace would not
+    read back as written, naming its key."""
+
+    @pytest.mark.parametrize("metadata, problem", [
+        ({"vbw_hz": 1e4}, "'vbw_hz' names a header field"),
+        ({"shot_reference_db": 3.0}, "'shot_reference_db' names a header field"),
+        ({"a=b": 1}, "'a=b' contains '='"),
+        ({"a\nb": 1}, r"'a\\nb' or its value contains a line break"),
+        ({"label": "run\na"}, "'label' or its value contains a line break"),
+        ({"label": "run\u2028a"}, "'label' or its value contains a line break"),
+        ({"label": "1_000"}, "'label' has the value '1_000', which reads back as 1000"),
+        ({"label": "inf"}, "'label' has the value 'inf', which reads back as inf"),
+        ({"label": "1e3"}, "'label' has the value '1e3', which reads back as 1000.0"),
+        ({"label": " run-a"}, "'label' has the value ' run-a', with surrounding whitespace"),
+        ({"label": 1e300}, "'label' has the value 1e[+]300, which reads back as 10{300}, so"),
+        ({"label ": "run-a"}, "'label ' has surrounding whitespace"),
+        ({"label": None}, "'label' has the NoneType value None, which reads back as a str"),
+        ({3: 1.0}, "3 is not a str"),
+    ], ids=["header-field", "shot-reference", "equals-in-key", "line-break-in-key",
+            "line-break-in-value", "unicode-line-break", "underscore-int", "inf", "exponent",
+            "padded-value", "huge-float", "padded-key", "none", "int-key"])
+    def test_an_item_that_would_not_read_back_is_refused(self, metadata, problem):
+        trace = _trace([0.0, 0.1], [1.0, -1.0], seed=9)
+        trace.metadata.update(metadata)
+        with pytest.raises(TraceFormatError, match="^metadata key " + problem):
+            serialize_trace(trace)
+
+    def test_the_bundled_config_trace_round_trips(self, config_path):
+        cfg = load_config(config_path)
+        point = operating_point(cfg.cavity, cfg.detection, cfg.pump,
+                                cfg.acquisition.center_frequency)
+        for seed in (1, 42):
+            trace = synthesize_trace(*point, cfg.detection, cfg.acquisition, seed)
+            _assert_traces_equal(parse_trace(serialize_trace(trace)), trace)
+
+    @pytest.mark.parametrize("value", [True, np.float64(0.25), np.int64(-7), float("nan"), 1e16,
+                                       "", "run a", "0x10", "#"])
+    def test_values_that_read_back_are_written(self, value):
+        back = parse_trace(serialize_trace(_trace([0.0, 0.1], [1.0, -1.0], label=value)))
+        got = back.metadata["label"]
+        assert got == value or (got != got and value != value)
 
 
 class TestParsingIsTotal:
@@ -210,6 +256,87 @@ class TestArrayPath:
         finally:
             gc.callbacks.remove(count)
         assert starts == []
+
+
+def _rows(trace):
+    """The data block as serialize_trace wrote it before the time-axis memo."""
+    return "".join(f"{t!r},{p!r}\n" for t, p in zip(trace.times.tolist(), trace.powers_db.tolist()))
+
+
+class TestTimeAxisMemo:
+    """serialize_trace and parse_trace reuse the last time axis; the output
+    never depends on what the memo holds."""
+
+    def test_interleaved_axes_give_the_unmemoized_text_and_arrays(self, chain, acquisition):
+        acqs = [acquisition, replace(acquisition, sweep_duration=0.15),  # same length, other times
+                replace(acquisition, sweep_duration=0.15, sample_count=301)]
+        traces = [synthesize_trace(0.8, 0.8, 0.5, 0.1, chain, acq, seed)
+                  for seed in range(3) for acq in acqs]
+        for trace in traces + traces[::-1]:
+            text = serialize_trace(trace)
+            assert text.endswith("\ntime_s,power_db\n" + _rows(trace))
+            for _ in range(2):
+                back = parse_trace(text)
+                assert back.times.tobytes() == trace.times.tobytes()
+                assert back.powers_db.tobytes() == trace.powers_db.tobytes()
+
+    def test_an_axis_with_exponent_reprs_is_written_positionally(self):
+        times = np.arange(8) * 1e-5
+        assert "e" in repr(times[1])
+        trace = _trace(times, np.linspace(-3.0, 4.0, 8))
+        rows = "".join(f"{_fmt(t)},{_fmt(p)}\n" for t, p in zip(times, trace.powers_db))
+        for _ in range(2):
+            text = serialize_trace(trace)
+            assert text.endswith("\ntime_s,power_db\n" + rows)
+            assert parse_trace(text).times.tobytes() == trace.times.tobytes()
+
+    def test_a_time_token_one_digit_off_misses_the_memo(self, chain, acquisition):
+        text = serialize_trace(synthesize_trace(0.8, 0.8, 0.5, 0.1, chain, acquisition, 3))
+        edited = text.replace("\n0.1995,", "\n0.1996,")
+        assert edited != text
+        for source in (edited, text, edited):
+            _, want_times, _, _ = _read_lines(source)
+            assert parse_trace(source).times.tobytes() == np.array(want_times).tobytes()
+
+    def test_mutating_parsed_times_leaves_the_next_parse_unchanged(self, chain, acquisition):
+        trace = synthesize_trace(0.8, 0.8, 0.5, 0.1, chain, acquisition, 4)
+        text = serialize_trace(trace)
+        first = parse_trace(text)
+        first.times[:] = -1.0
+        assert parse_trace(text).times.tobytes() == trace.times.tobytes()
+        again = parse_trace(text)
+        again.times[0] = 5.0
+        assert parse_trace(text).times.tobytes() == trace.times.tobytes()
+
+    def test_a_memo_hit_still_reports_a_bad_power_on_its_line(self, chain, acquisition):
+        text = serialize_trace(synthesize_trace(0.8, 0.8, 0.5, 0.1, chain, acquisition, 5))
+        parse_trace(text)
+        lines = text.split("\n")
+        row = lines.index("time_s,power_db") + 3
+        time_token = lines[row].split(",")[0]
+        lines[row] = f"{time_token},abc"
+        with pytest.raises(TraceFormatError) as info:
+            parse_trace("\n".join(lines))
+        assert str(info.value) == f"line {row + 1}: non-numeric sample '{time_token},abc'"
+
+    def test_read_tokens_that_are_not_canonical_are_not_written(self):
+        text = serialize_trace(_trace(*CLEAN_ROWS))
+        padded = text.replace("\n0.1,", "\n0.10,").replace("\n0.2,", "\n0.20,")
+        back = parse_trace(padded)
+        assert back.times.tobytes() == np.array(CLEAN_ROWS[0]).tobytes()
+        assert serialize_trace(back) == text
+        assert parse_trace(padded).times.tobytes() == back.times.tobytes()
+
+    def test_the_memo_holds_one_read_only_axis(self, chain, acquisition):
+        trace = synthesize_trace(0.8, 0.8, 0.5, 0.1, chain, acquisition, 6)
+        serialize_trace(trace)
+        written = traceio._last_axis
+        parse_trace(serialize_trace(_trace(*CLEAN_ROWS)).replace("\n0.1,", "\n0.10,"))
+        read = traceio._last_axis
+        assert written[0] == trace.times.tobytes() and read[0] is None  # read tokens get no key
+        assert read[1] == ["0.0", "0.10", "0.2", "0.3"]
+        for _, tokens, times in (written, read):
+            assert len(tokens) == times.size and not times.flags.writeable
 
 
 class TestFallbackOutcomes:
