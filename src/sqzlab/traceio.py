@@ -101,24 +101,25 @@ def _header_fields(header: dict[str, str], table) -> dict:
     return {field: kind(header.pop(key)) for key, (field, kind) in table.items()}
 
 
+def _header_item(body: str) -> tuple[str, str]:
+    """(key, value) of a header comment's 'key=value' body, as the reader takes it."""
+    key, _, value = body.partition("=")
+    return key.strip(), value.strip()
+
+
 def _metadata_line(key, value) -> str:
     """The header line of one metadata item, or TraceFormatError naming the
     key when parse_trace would not read the line back as this item."""
     text = _fmt(value)
     line = f"# {key}={text}"
-    read_key, _, read_text = line.strip().lstrip("#").strip().partition("=")  # as _read_lines
     if not isinstance(key, str):
         problem = "is not a str"
     elif key in _RESERVED:
         problem = "names a header field"
     elif line.splitlines() != [line]:
         problem = "or its value contains a line break"
-    elif "=" in key:
-        problem = "contains '='"
-    elif read_key.strip() != key:
-        problem = "has surrounding whitespace"
-    elif read_text.strip() != text:
-        problem = f"has the value {text!r}, with surrounding whitespace"
+    elif _header_item(line.lstrip("#").strip()) != (key, text):
+        problem = "contains '=', or it or its value has surrounding whitespace"
     elif not isinstance(value, (str, int, float, np.integer, np.floating)):
         problem = f"has the {type(value).__name__} value {value!r}, which reads back as a str"
     # a number written with a point reads back as the float it was written from
@@ -178,8 +179,8 @@ def _read_lines(text: str):
                 if body.startswith("sqzlab-trace"):
                     continue
                 raise TraceFormatError(f"line {lineno}: expected 'key=value' in header comment")
-            key, _, value = body.partition("=")
-            header[key.strip()] = value.strip()
+            key, value = _header_item(body)
+            header[key] = value
             continue
         if line == _COLUMNS:
             saw_columns = True

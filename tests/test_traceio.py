@@ -1,4 +1,6 @@
 import gc
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from sqzlab import (
     NoiseTrace,
     PhaseScan,
     TraceFormatError,
+    initial_guess,
     load_config,
     operating_point,
     parse_trace,
@@ -76,16 +79,16 @@ class TestMetadataReadsBack:
     @pytest.mark.parametrize("metadata, problem", [
         ({"vbw_hz": 1e4}, "'vbw_hz' names a header field"),
         ({"shot_reference_db": 3.0}, "'shot_reference_db' names a header field"),
-        ({"a=b": 1}, "'a=b' contains '='"),
+        ({"a=b": 1}, "'a=b' contains '=', or it or its value has surrounding whitespace"),
         ({"a\nb": 1}, r"'a\\nb' or its value contains a line break"),
         ({"label": "run\na"}, "'label' or its value contains a line break"),
         ({"label": "run\u2028a"}, "'label' or its value contains a line break"),
         ({"label": "1_000"}, "'label' has the value '1_000', which reads back as 1000"),
         ({"label": "inf"}, "'label' has the value 'inf', which reads back as inf"),
         ({"label": "1e3"}, "'label' has the value '1e3', which reads back as 1000.0"),
-        ({"label": " run-a"}, "'label' has the value ' run-a', with surrounding whitespace"),
+        ({"label": " run-a"}, "'label' contains '=', or it or its value has surrounding whitespace"),
         ({"label": 1e300}, "'label' has the value 1e[+]300, which reads back as 10{300}, so"),
-        ({"label ": "run-a"}, "'label ' has surrounding whitespace"),
+        ({"label ": "run-a"}, "'label ' contains '=', or it or its value has surrounding whitespace"),
         ({"label": None}, "'label' has the NoneType value None, which reads back as a str"),
         ({3: 1.0}, "3 is not a str"),
     ], ids=["header-field", "shot-reference", "equals-in-key", "line-break-in-key",
@@ -326,6 +329,37 @@ class TestTimeAxisMemo:
         assert back.times.tobytes() == np.array(CLEAN_ROWS[0]).tobytes()
         assert serialize_trace(back) == text
         assert parse_trace(padded).times.tobytes() == back.times.tobytes()
+
+    def test_threads_sharing_the_memos_get_the_unmemoized_results(self, chain, acquisition):
+        acqs = [replace(acquisition, sweep_duration=0.2 - 0.01 * i) for i in range(4)]
+        traces = [synthesize_trace(0.8, 0.8, 0.5, 0.1, chain, acq, i) for i, acq in enumerate(acqs)]
+        texts = [serialize_trace(trace) for trace in traces]
+        guesses = [initial_guess(trace, clearance_db=14.0) for trace in traces]
+        errors = []
+
+        def work(i):
+            try:
+                for n in range(30):
+                    k = (i + n) % len(traces)
+                    assert serialize_trace(traces[k]) == texts[k]
+                    back = parse_trace(texts[k])
+                    assert back.times.tobytes() == traces[k].times.tobytes()
+                    assert initial_guess(back, clearance_db=14.0) == guesses[k]
+            except AssertionError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_the_memo_holds_one_read_only_axis(self, chain, acquisition):
         trace = synthesize_trace(0.8, 0.8, 0.5, 0.1, chain, acquisition, 6)
