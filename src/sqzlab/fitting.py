@@ -38,8 +38,6 @@ structure of Golub & Pereyra, 1973), so initial_guess is one regression,
 solved as 3x3 normal equations by an unrolled Cholesky on Python floats and
 refined once on its residual (iterative refinement, Bjorck 1996).  A sweep
 over too little phase to separate 1, cos and sin is rejected, not fitted.
-The design and its factor depend only on the time axis and the scan rate,
-so the pair of the last trace is kept for the next one with the same axis.
 """
 
 from __future__ import annotations
@@ -72,9 +70,8 @@ _LAMBDA0 = 1e-3  # initial LM damping
 # the rest.  Below it the sweep covers too little phase to tell 1, cos and
 # sin apart, and rounding, not the trace, would set the start.
 _PIVOT_RTOL = 1e-12
-# The last start design: (the times' float64 bytes, the scan rate, the
-# (design, factor) pair of _start_design).  One tuple, replaced whole and
-# read once per call, so threads may share it.
+# (times' float64 bytes, scan rate, (design, factor)) of the last accepted
+# start design; one tuple, replaced whole and read once per call
 _last_design = (None, None, None)
 
 
@@ -325,9 +322,9 @@ def _normalize(p: np.ndarray, jac: np.ndarray):
 def _start_design(times: np.ndarray, rate: float):
     """(D, L): initial_guess's (3, N) design D of rows [1, cos, sin] of
     2*rate*t and the Cholesky factor L of D D^T, as (l00, l10, l20, l11, l21,
-    l22); ParameterDomainError for a pivot at or below _PIVOT_RTOL of its
-    diagonal entry.  The pair of the last axis and rate is kept and reused
-    when both repeat; a rejected axis is not kept, so it raises every time."""
+    l22), kept in _last_design for the next call with the same times and
+    rate; ParameterDomainError for a pivot at or below _PIVOT_RTOL of its
+    diagonal entry."""
     global _last_design
     axis = times.tobytes()
     memo = _last_design

@@ -68,8 +68,8 @@ _SCAN_HEADER = {
     "scan_jitter_rad": ("jitter_sigma", float),
 }
 _RESERVED = {*_ACQUISITION_HEADER, *_SCAN_HEADER, _SHOT_REFERENCE}  # not metadata keys
-# The last time axis written or read (module docstring): (the times' float64
-# bytes, None when read; the row tokens; a private read-only array).
+# (times' float64 bytes or None when read, row tokens, read-only array) of
+# the last time axis written or read; see the module docstring
 _last_axis = (None, None, None)
 
 
