@@ -70,9 +70,6 @@ _LAMBDA0 = 1e-3  # initial LM damping
 # the rest.  Below it the sweep covers too little phase to tell 1, cos and
 # sin apart, and rounding, not the trace, would set the start.
 _PIVOT_RTOL = 1e-12
-# (times' float64 bytes, scan rate, (design, factor)) of the last accepted
-# start design; one tuple, replaced whole and read once per call
-_last_design = (None, None, None)
 
 
 @dataclass(frozen=True)
@@ -319,39 +316,6 @@ def _normalize(p: np.ndarray, jac: np.ndarray):
     return p, jac
 
 
-def _start_design(times: np.ndarray, rate: float):
-    """(D, L): initial_guess's (3, N) design D of rows [1, cos, sin] of
-    2*rate*t and the Cholesky factor L of D D^T, as (l00, l10, l20, l11, l21,
-    l22), kept in _last_design for the next call with the same times and
-    rate; ParameterDomainError for a pivot at or below _PIVOT_RTOL of its
-    diagonal entry."""
-    global _last_design
-    axis = times.tobytes()
-    memo = _last_design
-    if axis == memo[0] and rate == memo[1]:
-        return memo[2]
-    design = np.empty((3, times.size))
-    design[0] = 1.0
-    phase = np.multiply(2.0 * rate, times, out=design[2])
-    np.cos(phase, out=design[1])
-    np.sin(phase, out=design[2])
-    (h00, h01, h02), (_, h11, h12), (_, _, h22) = (design @ design.T).tolist()
-    l00 = math.sqrt(h00)  # h00 = N >= 3
-    l10, l20 = h01 / l00, h02 / l00
-    p1 = h11 - l10 * l10
-    l11 = math.sqrt(p1) if p1 > _PIVOT_RTOL * h11 else math.nan  # NaN fails the test below
-    l21 = (h12 - l20 * l10) / l11
-    p2 = h22 - l20 * l20 - l21 * l21
-    if not p2 > _PIVOT_RTOL * h22:
-        span = 2.0 * rate * (times[-1] - times[0])
-        raise ParameterDomainError(
-            f"the trace sweeps {span:.3g} rad of 2*theta, too little to separate the mean "
-            "level from the phase modulation, so the levels cannot be fitted")
-    solved = design, (l00, l10, l20, l11, l21, math.sqrt(p2))
-    _last_design = (axis, rate, solved)
-    return solved
-
-
 def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.0,
                   jitter_sigma: float = 0.0) -> FitModel:
     """Closed-form start: regress the linear powers 10^(y/10)*(1+n) - n, which
@@ -367,12 +331,7 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     Cholesky, then once more for the residual's correction; fewer than 3
     samples, or a pivot at or below _PIVOT_RTOL of its diagonal entry (a
     sweep over too little phase to separate the rows, e.g. 10 us at a 0.2 s
-    period), raise ParameterDomainError.  D and its Cholesky factor depend
-    only on the time axis and the rate, so the pair of the last trace is kept
-    and reused while both repeat, as they do for traces taken at one set of
-    analyzer settings; the reuse never changes a result, and only such runs
-    of traces gain from it.  A rejected axis is not kept: it is rejected on
-    every call."""
+    period), raise ParameterDomainError."""
     contrast = math.exp(-2.0 * jitter_sigma * jitter_sigma)
     if contrast == 0.0:
         raise ParameterDomainError(
@@ -382,13 +341,30 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
         raise ParameterDomainError(f"need at least 3 samples to regress on [1, cos, sin], got {len(trace)}")
     floor = circuit_noise_floor(clearance_db)
     rate = trace.acquisition.lo_scan.rate
+    design = np.empty((3, len(trace)))
+    design[0] = 1.0
+    phase = np.multiply(2.0 * rate, trace.times, out=design[2])
+    np.cos(phase, out=design[1])
+    np.sin(phase, out=design[2])
     with np.errstate(over="ignore"):
         s = 10.0 ** (trace.powers_db / 10.0) * (1.0 + floor) - floor
     if not np.isfinite(s).all():
         raise ParameterDomainError(
             f"the trace sample of {trace.powers_db.max()} dB overflows as a linear power, "
             "so the levels cannot be fitted")
-    design, (l00, l10, l20, l11, l21, l22) = _start_design(trace.times, rate)
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = (design @ design.T).tolist()
+    l00 = math.sqrt(h00)  # h00 = N >= 3
+    l10, l20 = h01 / l00, h02 / l00
+    p1 = h11 - l10 * l10
+    l11 = math.sqrt(p1) if p1 > _PIVOT_RTOL * h11 else math.nan  # NaN fails the test below
+    l21 = (h12 - l20 * l10) / l11
+    p2 = h22 - l20 * l20 - l21 * l21
+    if not p2 > _PIVOT_RTOL * h22:
+        span = 2.0 * rate * (trace.times[-1] - trace.times[0])
+        raise ParameterDomainError(
+            f"the trace sweeps {span:.3g} rad of 2*theta, too little to separate the mean "
+            "level from the phase modulation, so the levels cannot be fitted")
+    l22 = math.sqrt(p2)
 
     def solve(g):  # L L^T c = D g by forward and back substitution
         g0, g1, g2 = (design @ g).tolist()

@@ -23,17 +23,16 @@ whole text, which gives the same result and is the only source of errors and
 their line numbers.  Neither path keeps one object per row alive, so a parse
 or a serialize triggers no garbage collection.
 
-Traces taken at one set of analyzer settings share their time axis, so the
-module keeps the last axis it wrote or read: its float64 bytes, its row
-tokens and a private read-only array.  serialize_trace formats only the
-power column when the times' bytes match, and a plain block whose time
-tokens equal the kept tokens takes a copy of the kept array and runs
-float() on the powers alone.  Tokens that were read need not be the ones
-serialize_trace writes ("0.10" for 0.1), so they are kept without the
-bytes and only a read can reuse them.  The memo never changes a result:
-every check runs on every call, and a hit gives the same text and arrays
-as a miss.  It pays only when consecutive traces share an axis; one entry,
-replaced whole and read once per call, so threads may share it.
+Traces taken at one set of analyzer settings share their time axis, so
+serialize_trace keeps the last axis it wrote: its float64 bytes, its row
+tokens and a private read-only array.  It formats only the power column
+when the times' bytes match, and a plain block whose time tokens equal the
+kept tokens takes a copy of the kept array and runs float() on the powers
+alone.  The memo never changes a result: every check runs on every call,
+and a hit gives the same text and arrays as a miss.  It pays only when a
+trace shares the axis of the last one written, as when each trace is
+written and read back in turn; one entry, replaced whole and read once per
+call, so threads may share it.
 
 Metadata must read back as written: serialize_trace refuses, with a
 TraceFormatError naming the key, an item parse_trace would read as another
@@ -68,8 +67,8 @@ _SCAN_HEADER = {
     "scan_jitter_rad": ("jitter_sigma", float),
 }
 _RESERVED = {*_ACQUISITION_HEADER, *_SCAN_HEADER, _SHOT_REFERENCE}  # not metadata keys
-# (times' float64 bytes or None when read, row tokens, read-only array) of
-# the last time axis written or read; see the module docstring
+# (times' float64 bytes, row tokens, read-only array) of the last time axis
+# written; see the module docstring
 _last_axis = (None, None, None)
 
 
@@ -112,33 +111,29 @@ def _metadata_line(key, value) -> str:
     key when parse_trace would not read the line back as this item."""
     text = _fmt(value)
     line = f"# {key}={text}"
-    if not isinstance(key, str):
-        problem = "is not a str"
-    elif key in _RESERVED:
+    if key in _RESERVED:
         problem = "names a header field"
     elif line.splitlines() != [line]:
         problem = "or its value contains a line break"
-    elif _header_item(line.lstrip("#").strip()) != (key, text):
-        problem = "contains '=', or it or its value has surrounding whitespace"
-    elif not isinstance(value, (str, int, float, np.integer, np.floating)):
-        problem = f"has the {type(value).__name__} value {value!r}, which reads back as a str"
-    # a number written with a point reads back as the float it was written from
-    elif ("." not in text or isinstance(value, str)) and _parse_value(text) != value \
-            and value == value:  # NaN reads back as NaN
-        problem = f"has the value {value!r}, which reads back as {_parse_value(text)!r}"
     else:
-        return line
+        back_key, back_text = _header_item(line[2:])
+        back = _parse_value(back_text)
+        if (back_key, back_text) == (key, text) and isinstance(back, str) == isinstance(value, str) \
+                and (back == value or value != value):  # NaN reads back as NaN
+            return line
+        problem = f"with the value {value!r} reads back as {back_key!r}={back!r}"
     raise TraceFormatError(f"metadata key {key!r} {problem}, so the trace would not read back "
                            "as written")
 
 
 def serialize_trace(trace: NoiseTrace) -> str:
     """The trace as text.  TraceFormatError when a metadata item would not
-    read back as written: a key that is not a str, names a header field,
-    contains '=' or a line break or has surrounding whitespace, or a value
-    that is not a str or a number, or whose text has a line break or
-    surrounding whitespace or reads back as another value (the str "1e3"
-    reads back as 1000.0, the float 1e300 as the int 10**300)."""
+    read back as written: a key that names a header field, a line break in
+    a key or value, or an item that the reader would take as another key or
+    value (a key with '=', a padded key or value, the str "1e3" that reads
+    back as 1000.0).  A float of 1e16 or more is written without a point,
+    so one whose decimal is not its exact value (1e300, also as read from
+    a '# x=1e300' line) reads back as another int and is refused."""
     global _last_axis
     acq = trace.acquisition
     header = [(key, getattr(acq, field)) for key, (field, _) in _ACQUISITION_HEADER.items()]
@@ -198,10 +193,9 @@ def _read_lines(text: str):
 
 def _plain_samples(block: str):
     """(times, powers) of a plain data block, each a contiguous float64 array
-    read with float(), the times copied from the last axis when its tokens
-    match; None when the block is not plain or a value is not a number, which
-    leaves the block to the line loop."""
-    global _last_axis
+    read with float(), the times copied from the last axis written when its
+    tokens match; None when the block is not plain or a value is not a
+    number, which leaves the block to the line loop."""
     if (not block.endswith("\n") or not block.isascii()
             or any(map(block.__contains__, _NOT_PLAIN))):
         return None
@@ -212,17 +206,14 @@ def _plain_samples(block: str):
         return None
     values = block.replace("\n", ",").split(",")
     del values[-1]  # the empty string after the last LF
-    tokens = values[0::2]
     memo = _last_axis
-    hit = tokens == memo[1]
     try:
-        times = memo[2].copy() if hit else np.fromiter(map(float, tokens), float, len(tokens))
-        powers = np.fromiter(map(float, values[1::2]), float, len(tokens))
+        if values[0::2] == memo[1]:  # the last axis written: float() on the powers alone
+            return memo[2].copy(), np.fromiter(map(float, values[1::2]), float, len(memo[1]))
+        samples = np.fromiter(map(float, values), float, len(values))
     except ValueError:
         return None
-    if not hit:  # read tokens need not be canonical: no key, so a write cannot reuse them
-        _last_axis = (None, tokens, np.frombuffer(times.tobytes()))
-    return times, powers
+    return samples[0::2].copy(), samples[1::2].copy()
 
 
 def parse_trace(text: str) -> NoiseTrace:

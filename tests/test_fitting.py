@@ -724,39 +724,6 @@ class TestNormalEquationStart:
             initial_guess(NoiseTrace(acq.times, np.zeros(2), acq), clearance_db=CLEARANCE)
 
 
-class TestStartDesignMemo:
-    """initial_guess reuses the design of the last time axis and scan rate;
-    its start never depends on what the memo holds."""
-
-    @staticmethod
-    def _cold_guess(trace, monkeypatch):
-        monkeypatch.setattr(fitting, "_last_design", (None, None, None))
-        return initial_guess(trace, clearance_db=CLEARANCE)
-
-    def test_the_same_axis_at_another_rate_is_recomputed(self, monkeypatch):
-        traces = [synthesize_trace(ALPHA, RHO, X, OMEGA, _chain(), _acq(period=period), 380)
-                  for period in (0.2, 0.25)]
-        assert traces[0].times.tobytes() == traces[1].times.tobytes()
-        cold = [self._cold_guess(trace, monkeypatch) for trace in traces]
-        assert cold[0].scan_rate != cold[1].scan_rate
-        for trace, want in zip(traces + traces[::-1], cold + cold[::-1]):
-            assert initial_guess(trace, clearance_db=CLEARANCE) == want
-            assert fitting._last_design[1] == want.scan_rate
-
-    def test_a_repeated_axis_gives_the_cold_start(self, monkeypatch):
-        traces = [_synth(seed) for seed in (381, 382)] + [_synth(383, samples=301)]
-        cold = [self._cold_guess(trace, monkeypatch) for trace in traces]
-        for trace, want in zip(traces * 2, cold * 2):
-            assert initial_guess(trace, clearance_db=CLEARANCE) == want
-
-    def test_a_rejected_axis_is_rejected_every_time(self, config_path):
-        trace = _bundled_trace(config_path, 42, 1e-5)
-        for _ in range(3):
-            with pytest.raises(ParameterDomainError, match="too little to separate"):
-                initial_guess(trace, clearance_db=CLEARANCE)
-            assert fitting._last_design[0] != trace.times.tobytes()
-
-
 class TestUndeterminedLevel:
     """At 1 rad of jitter s_min can sink far below the electronic floor, where
     its Jacobian column vanishes; its sigma is then unbounded, not zero."""
