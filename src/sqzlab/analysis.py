@@ -23,7 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detection import DetectionChain, apply_circuit_noise, detection_efficiency, remove_circuit_noise
+from .detection import (
+    DetectionChain,
+    apply_circuit_noise,
+    circuit_noise_floor,
+    detection_efficiency,
+    remove_circuit_noise,
+)
 from .opo import (
     AboveThresholdError,
     CavityParams,
@@ -43,6 +49,9 @@ GAIN_SCALE_BOX = (0.5, 1.5)
 EFFICIENCY_SCALE_BOX = (0.3, 1.0)
 LOSS_ONLY_TOLERANCE_DB = 0.1  # anti-squeezing misfit a loss-only explanation may leave
 _EDGE_GRID = np.arange(65.0)  # point indices of one box-edge scan round
+# grid indices of the two points around each possible best point of a round
+_EDGE_BOUNDS = np.minimum(np.maximum(np.arange(65)[:, None] + [-1, 1], 0), 64)
+_EDGE_ROWS = np.arange(4)
 
 
 def operating_point(cavity: CavityParams, chain: DetectionChain, pump: PumpSpec,
@@ -154,6 +163,89 @@ def _scaled_prediction_db(gain_scale, efficiency_scale, nominal_gain: float, alp
     return apply_circuit_noise(s_min, clearance_db), apply_circuit_noise(s_max, clearance_db)
 
 
+def _box_edge_minimum(measured: VarianceLevels, gain: float, alpha: float, rho: float,
+                      omega_norm: float, clearance_db: float, edges: tuple) -> tuple:
+    """(g, e) of least misfit on the box edges ``edges`` = (g_lo, g_hi, e_lo, e_hi).
+
+    Rows 0 and 1 scan e on g = g_lo and g_hi, rows 2 and 3 scan g on e = e_lo
+    and e_hi, each on a 65-point grid narrowed five times around its best
+    point; the best of the last round's row minima wins.  Each element is
+    the misfit of ``_scaled_prediction_db`` with the same operations in the
+    same order, so the point is the one a scan of that function finds, bit
+    for bit.  The fixed coordinate's chain is worked out once per row, and a
+    round evaluates only the scanned chain, in place.
+    """
+    g_lo, g_hi, e_lo, e_hi = edges
+    w2 = 4.0 * omega_norm * omega_norm
+    n = circuit_noise_floor(clearance_db)
+    # nine lanes of (4, 65) elements, with ar = e*alpha*rho
+    lanes = np.empty((9, 4, 65))
+    x, loss, ar4, x4, below, below_w2, above_w2, s_max, s_min = lanes
+    levels = lanes[7:]
+    # the fixed coordinate's lanes, once, in Python floats (the same IEEE
+    # operations as numpy's, sqrt included): the g-chain of rows 0-1 and the
+    # e-chain of rows 2-3; the scanned lanes are filled per round
+    fixed = []
+    for g in (g_lo, g_hi):
+        xg = 1.0 - 1.0 / math.sqrt(max(g * gain, 1.0))
+        sq = (1.0 - xg) * (1.0 - xg)
+        fixed.append((xg, 0.0, 0.0, 4.0 * xg, sq, sq + w2, (1.0 + xg) * (1.0 + xg) + w2))
+    for e in (e_lo, e_hi):
+        ar = e * alpha * rho
+        fixed.append((0.0, 1.0 - ar, 4.0 * ar, 0.0, 0.0, 0.0, 0.0))
+    lanes[:7] = np.array(fixed).T[:, :, None]
+    t = np.empty((4, 65))
+    t_e, ar_e, ar4_e = t[:2], loss[:2], ar4[:2]  # ar is worked out where 1 - ar goes
+    t_g, x_g, x4_g, below_g = t[2:], x[2:], x4[2:], below[2:]
+    below_w2_g, above_w2_g = below_w2[2:], above_w2[2:]
+    values = np.empty((4, 65))
+    lo, hi = np.array([[e_lo], [e_lo], [g_lo], [g_lo]]), np.array([[e_hi], [e_hi], [g_hi], [g_hi]])
+    for _ in range(5):
+        # np.linspace(lo, hi, 65, axis=-1) bit for bit (no row has zero width):
+        # lo + i*step with the last point pinned to hi
+        np.multiply(_EDGE_GRID, (hi - lo) / 64, out=t)
+        t += lo
+        t[:, 64:] = hi
+        np.multiply(t_e, alpha, out=ar_e)
+        ar_e *= rho
+        np.multiply(ar_e, 4.0, out=ar4_e)
+        np.subtract(1.0, ar_e, out=ar_e)
+        np.multiply(t_g, gain, out=x_g)
+        np.maximum(x_g, 1.0, out=x_g)
+        np.sqrt(x_g, out=x_g)
+        np.divide(1.0, x_g, out=x_g)
+        np.subtract(1.0, x_g, out=x_g)
+        np.multiply(x_g, 4.0, out=x4_g)
+        np.subtract(1.0, x_g, out=below_g)
+        below_g *= below_g
+        np.add(below_g, w2, out=below_w2_g)
+        np.add(1.0, x_g, out=above_w2_g)
+        above_w2_g *= above_w2_g
+        above_w2_g += w2
+        # opo.extremal_variances: s_max = ((1-x)^2 + W^2 + 4ar*x) / ((1-x)^2 + W^2),
+        # s_min = ((1-x)^2 + 4x*(1 - ar) + W^2) / ((1+x)^2 + W^2).  Both are > 0
+        # (ar <= 1 and x < 1), so apply_circuit_noise's domain check is not
+        # repeated per round; reconcile_discrepancy's final misfit runs it
+        np.multiply(lanes[2:4], lanes[0:2], out=levels)  # 4ar*x, 4x*(1 - ar)
+        s_max += below_w2
+        s_min += below
+        s_min += w2
+        levels /= lanes[5:7]
+        levels += n  # detection.apply_circuit_noise, both levels at once
+        levels /= 1.0 + n
+        np.log10(levels, out=levels)
+        levels *= 10.0
+        s_max -= measured.s_max_db
+        s_min -= measured.s_min_db
+        np.hypot(s_min, s_max, out=values)
+        i = values.argmin(axis=1)
+        bounds = t[_EDGE_ROWS[:, None], _EDGE_BOUNDS[i]]
+        lo, hi = bounds[:, :1], bounds[:, 1:]
+    best = int(values[_EDGE_ROWS, i].argmin())
+    point = t[best, i[best]]
+    return (edges[best], point) if best < 2 else (point, edges[best])
+
+
 def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
                           chain: DetectionChain, pump: PumpSpec,
                           frequency_hz: float) -> ReconcileResult:
@@ -171,10 +263,13 @@ def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
     on the box edge is returned with ``exact_match=False``: R(x) is strictly
     increasing, so every interior critical point of the misfit is a root.
     Each edge is scanned on a 65-point grid narrowed five times around its
-    best point; all four edges are scanned together, one array evaluation per
-    narrowing round, and the best of the last round's edge minima wins.
-    ``iterations`` is always 0.  A level at or below the electronic floor
-    raises ParameterDomainError.
+    best point, and the best of the last round's edge minima wins.  All four
+    edges are scanned together on preallocated (4, 65) arrays: each edge's
+    fixed coordinate is worked out once, a round evaluates only the scanned
+    coordinate's chain in place, and both levels go through the electronic
+    floor as one stacked array, every element in the operation order of
+    ``_scaled_prediction_db``.  ``iterations`` is always 0.  A level at or
+    below the electronic floor raises ParameterDomainError.
     """
     if pump.kind != "gain":
         raise ParameterDomainError(
@@ -206,22 +301,8 @@ def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
     if not in_box:
         eps = 1e-7  # the box is open at g = 0.5, 1.5 and e = 0.3
         g_lo, g_hi, e_lo = g_lo + eps, g_hi - eps, e_lo + eps
-        # rows: e scanned on g = g_lo and g = g_hi, then g on e = e_lo and e = e_hi
-        fixed = np.array([[g_lo], [g_hi], [e_lo], [e_hi]])
-        scans_e = np.array([[True], [True], [False], [False]])
-        lo, hi = np.array([e_lo, e_lo, g_lo, g_lo]), np.array([e_hi, e_hi, g_hi, g_hi])
-        rows = np.arange(4)
-        for _ in range(5):
-            # np.linspace(lo, hi, 65, axis=-1) bit for bit (no row has zero width):
-            # lo + i*step with the last point pinned to hi
-            t = lo[:, None] + _EDGE_GRID * ((hi - lo) / 64)[:, None]
-            t[:, -1] = hi
-            gs, es = np.where(scans_e, fixed, t), np.where(scans_e, t, fixed)
-            values = misfit(gs, es)
-            i = np.argmin(values, axis=1)
-            lo, hi = t[rows, np.maximum(i - 1, 0)], t[rows, np.minimum(i + 1, 64)]
-        best = np.argmin(values[rows, i])
-        g, e = gs[best, i[best]], es[best, i[best]]
+        g, e = _box_edge_minimum(measured, gain, alpha, rho, omega_norm, clearance,
+                                 (g_lo, g_hi, e_lo, e_hi))
     norm = float(misfit(g, e))
     return ReconcileResult(
         gain_scale=float(g),

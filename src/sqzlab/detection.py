@@ -198,7 +198,10 @@ def remove_circuit_noise(observed_db, clearance_db: float):
     apply_circuit_noise, with its clearance domain and the scalar/array
     contract of ``to_db``.  Values at or below the floor (and NaN) raise."""
     n = circuit_noise_floor(clearance_db)
-    if isinstance(observed_db, float):  # np.float64 ** is the 0-d array's power; float ** is libm's
+    # np.float64 ** is libm's pow, as float ** is (a 0-d input is a np.float64
+    # once divided); arrays of one or more dimensions use numpy's own loop,
+    # which can differ from libm's by an ulp
+    if isinstance(observed_db, float):
         s = float(10.0 ** np.float64(observed_db / 10.0)) * (1.0 + n) - n
         if not s > 0.0:
             raise ParameterDomainError("observed level lies at or below the electronic floor")

@@ -80,7 +80,10 @@ class TraceFormatError(ValueError):
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         text = repr(float(value))
-        return format(Decimal(text), "f") if "e" in text else text
+        if "e" not in text:
+            return text
+        text = format(Decimal(text), "f")
+        return text if "." in text else text + ".0"  # 1e16 and up: still a float
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return str(value)
@@ -131,9 +134,9 @@ def serialize_trace(trace: NoiseTrace) -> str:
     read back as written: a key that names a header field, a line break in
     a key or value, or an item that the reader would take as another key or
     value (a key with '=', a padded key or value, the str "1e3" that reads
-    back as 1000.0).  A float of 1e16 or more is written without a point,
-    so one whose decimal is not its exact value (1e300, also as read from
-    a '# x=1e300' line) reads back as another int and is refused."""
+    back as 1000.0).  Floats are written in positional decimal with a
+    point, 1e16 and up included (1e16 as 10000000000000000.0), so a float
+    reads back as the same float."""
     global _last_axis
     acq = trace.acquisition
     header = [(key, getattr(acq, field)) for key, (field, _) in _ACQUISITION_HEADER.items()]

@@ -1,10 +1,16 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from sqzlab import (
+    CavityParams,
+    DetectionChain,
     ParameterDomainError,
     PumpSpec,
     ReconcileResult,
@@ -24,6 +30,7 @@ from sqzlab import (
     threshold_power,
 )
 from sqzlab.analysis import EFFICIENCY_SCALE_BOX, GAIN_SCALE_BOX, _scaled_prediction_db
+from sqzlab.detection import circuit_noise_floor
 
 F0 = 1e6
 MEASURED = VarianceLevels.from_db(-2.75, 7.00)
@@ -294,11 +301,11 @@ def _edge_minimum(misfit, lo, hi):
     return float(t[i])
 
 
-def _sequential_edge_oracle(measured, cavity, chain, pump):
+def _sequential_edge_oracle(measured, cavity, chain, pump, frequency_hz=F0):
     """Box-edge reconciliation with the four edges scanned one after another,
     each by its own 1-D scan, and the winner picked by re-evaluating the misfit."""
     gain = pump.parametric_gain
-    alpha, rho, _, omega_norm = operating_point(cavity, chain, pump, F0)
+    alpha, rho, _, omega_norm = operating_point(cavity, chain, pump, frequency_hz)
     clearance = chain.circuit_noise_clearance_db
 
     def misfit(g, e):
@@ -367,6 +374,80 @@ class TestBatchedEdgeScanEquivalence:
         measured = VarianceLevels.from_db(*pair_db)
         result = reconcile_discrepancy(measured, cavity, chain, pump_gain, F0)
         assert repr(result) == repr(_sequential_edge_oracle(measured, cavity, chain, pump_gain))
+
+    @pytest.mark.parametrize("clearance_db", [10.0, 20.0])
+    @pytest.mark.parametrize("frequency_hz", [0.5e6, 3e6])
+    def test_other_clearances_and_frequencies(self, cavity, chain, clearance_db, frequency_hz):
+        chain = replace(chain, circuit_noise_clearance_db=clearance_db)
+        _assert_out_of_box_pairs_match_sequential(cavity, chain, frequency_hz, 9)
+
+    @pytest.mark.parametrize("pair_db", [(0.0, 0.0), (-0.05, 0.05), (0.02, -0.02)])
+    def test_gain_clamped_to_unity_on_the_low_gain_edge(self, cavity, chain, pair_db):
+        # at G = 1.2 the g < 1/G part of the gain edges has g*G < 1, clamped to x = 0
+        measured, pump = VarianceLevels.from_db(*pair_db), PumpSpec(parametric_gain=1.2)
+        result = reconcile_discrepancy(measured, cavity, chain, pump, F0)
+        assert repr(result) == repr(_sequential_edge_oracle(measured, cavity, chain, pump))
+
+    def test_a_chain_other_than_the_fixture(self, cavity):
+        chain = DetectionChain(quantum_efficiency=0.85, visibility=0.97,
+                               propagation_efficiency=0.9, circuit_noise_clearance_db=17.0)
+        _assert_out_of_box_pairs_match_sequential(cavity, chain, F0, 10)
+
+
+def _assert_out_of_box_pairs_match_sequential(cavity, chain, frequency_hz, seed):
+    """The edge scan against the sequential oracle on the out-of-box pairs
+    among 60 seeded ones, each squeezing level above the chain's floor."""
+    rng = np.random.default_rng(seed)
+    clearance = chain.circuit_noise_clearance_db
+    compared = 0
+    for _ in range(60):
+        measured = VarianceLevels.from_db(rng.uniform(0.5 - clearance, 1.0),
+                                          rng.uniform(-1.0, 20.0))
+        pump = PumpSpec(parametric_gain=float(rng.uniform(1.0, 12.0)))
+        result = reconcile_discrepancy(measured, cavity, chain, pump, frequency_hz)
+        if result.exact_match:
+            continue  # an in-box root: no edge scan
+        oracle = _sequential_edge_oracle(measured, cavity, chain, pump, frequency_hz)
+        assert repr(result) == repr(oracle)
+        compared += 1
+    assert compared >= 40
+
+
+@st.composite
+def _reconcile_inputs(draw):
+    """reconcile_discrepancy arguments: a cavity, chain, gain and analysis
+    frequency from the ranges of a sub-threshold OPO bench, and a level pair
+    above the chain's electronic floor."""
+    unit = st.floats(0.05, 1.0)
+    cavity = CavityParams(round_trip_length=draw(st.floats(0.01, 10.0)),
+                          coupler_transmittance=draw(st.floats(1e-3, 0.5)),
+                          intracavity_loss=draw(st.floats(0.0, 0.2)),
+                          nonlinear_efficiency=draw(st.floats(1e-3, 1.0)))
+    chain = DetectionChain(draw(unit), draw(unit), draw(unit), draw(st.floats(1.0, 60.0)))
+    n = circuit_noise_floor(chain.circuit_noise_clearance_db)
+    level = st.floats(10.0 * math.log10(n / (1.0 + n)), 40.0, exclude_min=True)
+    measured = VarianceLevels.from_db(draw(level), draw(level))
+    pump = PumpSpec(parametric_gain=draw(st.floats(1.0, 1e4)))
+    return measured, cavity, chain, pump, draw(st.floats(1e3, 1e9))
+
+
+class TestReconcileDomain:
+    # The box-edge scan maps its levels through the electronic floor without
+    # apply_circuit_noise's check that they are > 0.  None is needed: on every
+    # row ar = e*alpha*rho <= 1 and x = 1 - 1/sqrt(max(g*G, 1)) < 1, so
+    # s_max = 1 + 4ar*x / ((1-x)^2 + W^2) >= 1 and
+    # s_min = ((1-x)^2 + 4x*(1 - ar) + W^2) / ((1+x)^2 + W^2) >= (1-x)^2 / ((1+x)^2 + W^2) > 0.
+    @given(_reconcile_inputs())
+    def test_a_point_in_the_box_with_a_finite_residual_or_a_domain_error(self, inputs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                result = reconcile_discrepancy(*inputs)
+            except ParameterDomainError:
+                return
+        assert 0.5 < result.gain_scale < 1.5
+        assert 0.3 < result.efficiency_scale <= 1.0
+        assert math.isfinite(result.residual_db)
 
 
 class TestSweepEquivalence:

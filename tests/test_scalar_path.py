@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from sqzlab import (
+    DetectionChain,
     ParameterDomainError,
     PumpSpec,
     ReconcileResult,
@@ -198,6 +199,42 @@ class TestEdgeGridMatchesLinspace:
             assert repr(result) == repr(oracle)
             exact += result.exact_match
         assert 20 <= exact <= 180  # both branches are exercised
+
+    @pytest.mark.parametrize("clearance_db", [10.0, 20.0])
+    @pytest.mark.parametrize("frequency_hz", [0.5e6, 3e6])
+    def test_other_clearances_and_frequencies(self, bundled, clearance_db, frequency_hz):
+        cfg, _ = bundled
+        chain = dataclasses.replace(cfg.detection, circuit_noise_clearance_db=clearance_db)
+        _assert_seeded_pairs_match_linspace(cfg.cavity, chain, frequency_hz, 2021)
+
+    def test_a_chain_other_than_the_bundled_one(self, bundled):
+        cfg, f = bundled
+        chain = DetectionChain(quantum_efficiency=0.85, visibility=0.97,
+                               propagation_efficiency=0.9, circuit_noise_clearance_db=17.0)
+        _assert_seeded_pairs_match_linspace(cfg.cavity, chain, f, 2022)
+
+
+def _assert_seeded_pairs_match_linspace(cavity, chain, frequency_hz, seed):
+    """reconcile_discrepancy against the linspace oracle on 100 seeded pairs:
+    every other pair is predicted from gain and efficiency scales drawn
+    around the box, so both branches are exercised at any frequency."""
+    rng = np.random.default_rng(seed)
+    exact = 0
+    for k in range(100):
+        pump = PumpSpec(parametric_gain=float(rng.uniform(1.5, 10.0)))
+        if k % 2:
+            measured = VarianceLevels.from_db(rng.uniform(-8.0, 0.5), rng.uniform(-0.5, 16.0))
+        else:
+            scaled = dataclasses.replace(
+                chain, propagation_efficiency=chain.propagation_efficiency * rng.uniform(0.2, 1.0))
+            gain = PumpSpec(parametric_gain=pump.parametric_gain * rng.uniform(0.7, 1.7))
+            measured = predict_levels(cavity, scaled, gain, frequency_hz,
+                                      include_circuit_noise=True)
+        result = reconcile_discrepancy(measured, cavity, chain, pump, frequency_hz)
+        oracle = _linspace_reconcile_oracle(measured, cavity, chain, pump, frequency_hz)
+        assert repr(result) == repr(oracle)
+        exact += result.exact_match
+    assert 10 <= exact <= 90
 
 
 class TestScalarReturnContract:
