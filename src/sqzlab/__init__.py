@@ -1,109 +1,79 @@
-"""Squeezed-vacuum OPO modelling, homodyne trace emulation, and trace fitting."""
+"""Squeezed-vacuum OPO modelling, homodyne trace emulation, and trace fitting.
 
-from .opo import (
-    SPEED_OF_LIGHT,
-    AboveThresholdError,
-    CavityParams,
-    ParameterDomainError,
-    PumpSpec,
-    SpectralPoint,
-    VarianceLevels,
-    cavity_decay_rate,
-    detuning_parameter,
-    escape_efficiency,
-    extremal_variances,
-    from_db,
-    gain_from_pump_parameter,
-    min_max_levels,
-    pump_parameter,
-    quadrature_variance,
-    spectral_point,
-    threshold_power,
-    to_db,
-)
-from .detection import (
-    AcquisitionSettings,
-    DetectionChain,
-    NoiseTrace,
-    PhaseScan,
-    apply_circuit_noise,
-    detection_efficiency,
-    jitter_averaged_variance,
-    remove_circuit_noise,
-    synthesize_shot_reference,
-    synthesize_trace,
-)
-from .fitting import (
-    FitModel,
-    FitResult,
-    fit_trace,
-    initial_guess,
-)
-from .analysis import (
-    LossOnlyReport,
-    ReconcileResult,
-    SweepRow,
-    loss_only_explanation_check,
-    operating_point,
-    predict_levels,
-    reconcile_discrepancy,
-    sweep_pump,
-)
-from .config import ConfigError, ExperimentConfig, format_config, load_config, parse_config
-from .traceio import TraceFormatError, load_trace, parse_trace, save_trace, serialize_trace
+The public names load on first use (PEP 562): ``import sqzlab`` imports no
+submodule, and ``sqzlab.fit_trace`` imports ``sqzlab.fitting`` then.  A
+resolved name is kept in this module's globals, so later lookups are plain
+attribute reads.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SPEED_OF_LIGHT",
-    "AboveThresholdError",
-    "AcquisitionSettings",
-    "CavityParams",
-    "ConfigError",
-    "DetectionChain",
-    "ExperimentConfig",
-    "FitModel",
-    "FitResult",
-    "LossOnlyReport",
-    "NoiseTrace",
-    "ParameterDomainError",
-    "PhaseScan",
-    "PumpSpec",
-    "ReconcileResult",
-    "SpectralPoint",
-    "SweepRow",
-    "TraceFormatError",
-    "VarianceLevels",
-    "apply_circuit_noise",
-    "cavity_decay_rate",
-    "detection_efficiency",
-    "detuning_parameter",
-    "escape_efficiency",
-    "extremal_variances",
-    "fit_trace",
-    "format_config",
-    "from_db",
-    "gain_from_pump_parameter",
-    "initial_guess",
-    "jitter_averaged_variance",
-    "load_config",
-    "load_trace",
-    "loss_only_explanation_check",
-    "min_max_levels",
-    "operating_point",
-    "parse_config",
-    "parse_trace",
-    "predict_levels",
-    "pump_parameter",
-    "quadrature_variance",
-    "reconcile_discrepancy",
-    "remove_circuit_noise",
-    "save_trace",
-    "serialize_trace",
-    "spectral_point",
-    "sweep_pump",
-    "synthesize_shot_reference",
-    "synthesize_trace",
-    "threshold_power",
-    "to_db",
-]
+# the public names of each submodule
+_EXPORTS = {
+    "opo": (
+        "SPEED_OF_LIGHT",
+        "AboveThresholdError",
+        "CavityParams",
+        "ParameterDomainError",
+        "PumpSpec",
+        "SpectralPoint",
+        "VarianceLevels",
+        "cavity_decay_rate",
+        "detuning_parameter",
+        "escape_efficiency",
+        "extremal_variances",
+        "from_db",
+        "gain_from_pump_parameter",
+        "min_max_levels",
+        "pump_parameter",
+        "quadrature_variance",
+        "spectral_point",
+        "threshold_power",
+        "to_db",
+    ),
+    "detection": (
+        "AcquisitionSettings",
+        "DetectionChain",
+        "NoiseTrace",
+        "PhaseScan",
+        "apply_circuit_noise",
+        "detection_efficiency",
+        "jitter_averaged_variance",
+        "remove_circuit_noise",
+        "synthesize_shot_reference",
+        "synthesize_trace",
+    ),
+    "fitting": ("FitModel", "FitResult", "fit_trace", "initial_guess"),
+    "analysis": (
+        "LossOnlyReport",
+        "ReconcileResult",
+        "SweepRow",
+        "loss_only_explanation_check",
+        "operating_point",
+        "predict_levels",
+        "reconcile_discrepancy",
+        "sweep_pump",
+    ),
+    "config": ("ConfigError", "ExperimentConfig", "format_config", "load_config", "parse_config"),
+    "traceio": ("TraceFormatError", "load_trace", "parse_trace", "save_trace", "serialize_trace"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# constants, then classes, then functions, each group sorted
+__all__ = sorted(_SOURCE, key=lambda name: (not name.isupper(), name[0].islower(), name))
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule not imported yet
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

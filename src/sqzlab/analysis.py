@@ -19,6 +19,7 @@ are made between measured values and circuit-noise-mapped predictions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -269,16 +270,26 @@ def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
     coordinate's chain in place, and both levels go through the electronic
     floor as one stacked array, every element in the operation order of
     ``_scaled_prediction_db``.  ``iterations`` is always 0.  A level at or
-    below the electronic floor raises ParameterDomainError.
+    below the electronic floor raises ParameterDomainError, and so do an
+    efficiency product alpha*rho that underflows (below the smallest normal
+    float) and a gain G at which 1.5*G is at threshold to double precision.
     """
     if pump.kind != "gain":
         raise ParameterDomainError(
             "reconciliation corrects a measured parametric gain; supply the pump as a gain")
     gain = pump.parametric_gain
     alpha, rho, _, omega_norm = operating_point(cavity, chain, pump, frequency_hz)
+    # the root's x is at least about 5e-17, so 4*alpha*rho*x stays > 0 for a
+    # normal alpha*rho; a gain scaled to the box's top must stay below threshold
+    if not alpha * rho >= sys.float_info.min:
+        raise ParameterDomainError(f"the efficiency product alpha*rho underflows: {alpha * rho}")
+    if not 1.0 - 1.0 / math.sqrt(GAIN_SCALE_BOX[1] * gain) < 1.0:
+        raise ParameterDomainError(f"parametric gain {gain} scaled by {GAIN_SCALE_BOX[1]} "
+                                   "is at threshold to double precision")
     clearance = chain.circuit_noise_clearance_db
+    # Python floats, so that a product overflowing below gives inf, not a warning
     s_min, s_max = remove_circuit_noise(np.array([measured.s_min_db, measured.s_max_db]),
-                                        clearance)
+                                        clearance).tolist()
 
     def misfit(g, e):
         lo_db, hi_db = _scaled_prediction_db(g, e, gain, alpha, rho, omega_norm, clearance)
@@ -290,7 +301,9 @@ def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
     if 0.0 < 1.0 - s_min < s_max - 1.0:  # R > 1, both levels on their side of shot noise
         ratio = (s_max - 1.0) / (1.0 - s_min)
         w2 = 4.0 * omega_norm * omega_norm
-        disc = (1.0 + ratio) ** 2 - (1.0 - ratio) ** 2 * (1.0 + w2)
+        # (1 +- R)^2 raises OverflowError above R ~ 1.3e154, where a root
+        # would round to x = 1: no root in the box
+        disc = (1.0 + ratio) ** 2 - (1.0 - ratio) ** 2 * (1.0 + w2) if ratio < 1e150 else -1.0
         if disc >= 0.0:
             x = (ratio - 1.0) * (1.0 + w2) / (1.0 + ratio + math.sqrt(disc))
             if x < 1.0:
@@ -340,12 +353,14 @@ def loss_only_explanation_check(measured: VarianceLevels, cavity: CavityParams,
     S_min = 1 - 4*a*r*x / D+, D+ = (1 + x)^2 + 4 W^2, and the measured S_min
     recovered from the circuit-noise map, e = (1 - S_min_meas) * D+ / (4*a*r*x).
     Feasible means the implied anti-squeezing agrees within LOSS_ONLY_TOLERANCE_DB.
-    A pump at x = 0 or a squeezing level outside (floor, shot noise) raises
-    ParameterDomainError.
+    A pump at x = 0, a product 4*alpha*rho*x that underflows to 0, or a
+    squeezing level outside (floor, shot noise) raises ParameterDomainError.
     """
     alpha, rho, x, omega_norm = operating_point(cavity, chain, pump, frequency_hz)
     if not x > 0.0:
         raise ParameterDomainError("loss-only check needs a pump above zero (x > 0)")
+    if not 4.0 * alpha * rho * x > 0.0:
+        raise ParameterDomainError(f"4*alpha*rho*x underflows to 0 (alpha*rho = {alpha * rho}, x = {x})")
     clearance = chain.circuit_noise_clearance_db
     s_min_underlying = remove_circuit_noise(measured.s_min_db, clearance)
     if not s_min_underlying < 1.0:

@@ -17,11 +17,12 @@ full precision with a stable key set.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import sys
 
-from . import analysis, fitting, traceio
 from .config import ConfigError, load_config, parse_quantity
 from .detection import synthesize_shot_reference, synthesize_trace
 from .opo import (
@@ -31,7 +32,10 @@ from .opo import (
     cavity_decay_rate,
     threshold_power,
 )
-from .traceio import TraceFormatError
+
+# Each command imports the modules it runs (analysis, fitting, traceio) in its
+# body, so a cold process loads only those: predict, sweep and reconcile load
+# neither fitting nor traceio, synth no fitting and fit no analysis.
 
 _CIRCUIT_NOTE = (
     "observed levels assume the same electronic floor in both the signal and "
@@ -59,6 +63,8 @@ def _analysis_frequency(cfg, args) -> float:
 
 
 def _cmd_predict(args) -> int:
+    from . import analysis
+
     cfg = load_config(args.config)
     p_th = threshold_power(cfg.cavity)
     frequency = _analysis_frequency(cfg, args)
@@ -101,6 +107,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from . import analysis, traceio
+
     cfg = load_config(args.config)
     if cfg.acquisition is None:
         raise ConfigError("this command needs [acquisition] (and optionally [scan]) in the config")
@@ -128,6 +136,8 @@ def _uncertainty(sigma_db: float) -> str:
 
 def _cmd_fit(args) -> int:
     """Fit in the trace's recorded context; the config supplies a missing clearance."""
+    from . import fitting, traceio
+
     clearance = load_config(args.config).detection.circuit_noise_clearance_db
     trace = traceio.load_trace(args.trace)
     recorded = trace.metadata.setdefault("clearance_db", clearance)
@@ -186,6 +196,8 @@ def _load_measured_csv(path):
 
 
 def _cmd_sweep(args) -> int:
+    from . import analysis
+
     cfg = load_config(args.config)
     if bool(args.gains) == bool(args.powers):
         raise ConfigError("provide exactly one of --gains or --powers")
@@ -228,6 +240,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_reconcile(args) -> int:
+    from . import analysis
+
     cfg = load_config(args.config)
     parts = args.measured.split(",")
     if len(parts) != 2:
@@ -309,7 +323,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reported_errors() -> tuple:
+    """The errors main reports in one line.  A TraceFormatError can only come
+    from a loaded traceio, so naming it loads nothing."""
+    traceio = sys.modules.get(f"{__package__}.traceio")
+    trace_errors = (traceio.TraceFormatError,) if traceio else ()
+    return ConfigError, ParameterDomainError, OSError, *trace_errors
+
+
 def main(argv=None) -> int:
+    # A CLI process exits right after main, and the interpreter's shutdown
+    # collections would only walk numpy's and sqzlab's objects: freeze them
+    # at exit instead.  Unregistering first keeps one handler per process,
+    # however often main runs.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     argv = list(sys.argv[1:] if argv is None else argv)
     # join "--measured -2.75,7.00" so argparse does not read the value as a flag
     for i, token in enumerate(argv[:-1]):
@@ -320,7 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TraceFormatError, ParameterDomainError, OSError) as exc:
+    except _reported_errors() as exc:  # evaluated only when a command raised
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

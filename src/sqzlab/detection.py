@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from decimal import Context, Decimal
 
 import numpy as np
 
@@ -65,6 +64,9 @@ class DetectionChain:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ParameterDomainError(f"{name} must be in (0, 1], got {v}")
+        if not detection_efficiency(self) > 0.0:
+            raise ParameterDomainError("detection efficiency eta*xi^2*propagation_efficiency "
+                                       "underflows to 0")
         try:
             circuit_noise_floor(self.circuit_noise_clearance_db)
         except ParameterDomainError as exc:
@@ -120,6 +122,8 @@ class AcquisitionSettings:
         if not self.sample_count >= 2:
             raise ParameterDomainError(f"sample_count must be >= 2, got {self.sample_count}")
         if not self.sample_count <= _MAX_INDEX:  # shown to 3 digits: float() overflows above 1.8e308
+            from decimal import Context, Decimal
+
             shown = Decimal(self.sample_count).normalize(Context(prec=3))
             raise ParameterDomainError(f"sample_count must be at most {_MAX_INDEX}, got {shown:g}")
 

@@ -97,6 +97,10 @@ class FitModel:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Outcome of ``fit_trace``: the fitted model, its 1-sigma uncertainties
+    (``math.inf`` for a level the trace does not determine) and the solver's
+    record."""
+
     model: FitModel                 # fitted parameter values
     covariance: np.ndarray          # 4x4 over (s_min_db, s_max_db, theta0, rate)
     parameter_sigmas: np.ndarray    # sqrt of the covariance diagonal

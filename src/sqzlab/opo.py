@@ -74,6 +74,10 @@ class CavityParams:
         for name in ("round_trip_length", "nonlinear_efficiency"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ParameterDomainError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name, derived in (("decay rate c*(T + L)/l", cavity_decay_rate),
+                              ("threshold (T + L)^2/(4*E_NL)", threshold_power)):
+            if not derived(self) > 0.0:
+                raise ParameterDomainError(f"cavity {name} underflows to 0")
 
 
 @dataclass(frozen=True)
@@ -124,6 +128,9 @@ class SpectralPoint:
     def __post_init__(self):
         if not self.detuning_parameter >= 0.0:
             raise ParameterDomainError(f"detuning_parameter must be >= 0, got {self.detuning_parameter}")
+        if not 4.0 * self.detuning_parameter * self.detuning_parameter < math.inf:
+            raise ParameterDomainError(
+                f"detuning_parameter {self.detuning_parameter} overflows 4*detuning_parameter^2")
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,6 @@ key or value (see serialize_trace).
 
 from __future__ import annotations
 
-from decimal import Decimal
-
 import numpy as np
 
 from .detection import AcquisitionSettings, NoiseTrace, PhaseScan
@@ -82,6 +80,8 @@ def _fmt(value) -> str:
         text = repr(float(value))
         if "e" not in text:
             return text
+        from decimal import Decimal
+
         text = format(Decimal(text), "f")
         return text if "." in text else text + ".0"  # 1e16 and up: still a float
     if isinstance(value, (int, np.integer)):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -448,6 +448,99 @@ class TestReconcileDomain:
         assert 0.5 < result.gain_scale < 1.5
         assert 0.3 < result.efficiency_scale <= 1.0
         assert math.isfinite(result.residual_db)
+
+
+@st.composite
+def _accepted_inputs(draw):
+    """Any cavity, chain and pump the types accept, any finite analysis
+    frequency > 0 and any level pair from_db can represent."""
+    positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    unit = st.floats(0.0, 1.0, exclude_min=True)
+    transmittance = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    try:
+        cavity = CavityParams(draw(positive), transmittance,
+                              draw(st.floats(0.0, 1.0 - transmittance, exclude_max=True)),
+                              draw(positive))
+        chain = DetectionChain(draw(unit), draw(unit), draw(unit), draw(positive))
+    except ParameterDomainError:
+        reject()
+    pump = draw(st.one_of(st.builds(PumpSpec, parametric_gain=st.floats(1.0)),
+                          st.builds(PumpSpec, pump_parameter=st.floats(0.0, 1.0, exclude_max=True)),
+                          st.builds(PumpSpec, pump_power=st.floats(0.0))))
+    level = st.floats(-3000.0, 3000.0)
+    measured = VarianceLevels.from_db(draw(level), draw(level))
+    return measured, cavity, chain, pump, draw(positive)
+
+
+class TestAcceptedInputDomain:
+    """Inputs the types accept, however degenerate, end in a result or a
+    ParameterDomainError: never another exception or a numpy warning."""
+
+    @given(_accepted_inputs())
+    def test_a_finite_result_or_a_domain_error(self, inputs):
+        measured, cavity, chain, pump, frequency_hz = inputs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for observed in (False, True):
+                try:
+                    levels = predict_levels(cavity, chain, pump, frequency_hz, observed)
+                except ParameterDomainError:
+                    continue
+                assert math.isfinite(levels.s_min_db) and math.isfinite(levels.s_max_db)
+            try:
+                result = reconcile_discrepancy(*inputs)
+            except ParameterDomainError:
+                pass
+            else:
+                assert 0.5 < result.gain_scale < 1.5
+                assert 0.3 < result.efficiency_scale <= 1.0
+                assert math.isfinite(result.residual_db)
+            try:
+                report = loss_only_explanation_check(*inputs)
+            except ParameterDomainError:
+                pass
+            else:
+                assert 0.0 <= report.efficiency_scale <= 1.0
+
+    # alpha*rho = alpha * 2e-150: 0 at alpha = 1e-200, subnormal at 1e-160; a
+    # root's x can be as small as ~5e-17, so 4*alpha*rho*x needs a normal product
+    @pytest.mark.parametrize("alpha", [1e-200, 1e-160])
+    def test_an_efficiency_product_that_underflows_is_a_domain_error(self, alpha):
+        cavity = CavityParams(0.6, 1e-150, 0.5, 0.023)
+        chain = DetectionChain(alpha, 1.0, 1.0, 14.0)
+        pump = PumpSpec(parametric_gain=5.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterDomainError, match="alpha\\*rho underflows"):
+                reconcile_discrepancy(MEASURED, cavity, chain, pump, F0)
+            if alpha * 2e-150 == 0.0:
+                with pytest.raises(ParameterDomainError, match="4\\*alpha\\*rho\\*x underflows to 0"):
+                    loss_only_explanation_check(MEASURED, cavity, chain, pump, F0)
+
+    def test_a_discriminant_that_overflows_has_no_root(self, chain, pump_gain):
+        # W ~ 2e153 for a 1e154 m cavity: 4*W^2 is finite, (1 - R)^2*(1 + 4*W^2) is not
+        cavity = CavityParams(1e154, 0.10, 0.0173, 0.023)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = reconcile_discrepancy(MEASURED, cavity, chain, pump_gain, F0)
+        assert not result.exact_match and math.isfinite(result.residual_db)
+
+    def test_a_level_ratio_whose_square_overflows_has_no_root(self, cavity, chain, pump_gain):
+        # R = (S_max - 1)/(1 - S_min) ~ 2e160: (1 +- R)^2 overflows; the box-edge
+        # point is the parent's, which reached it through an overflow warning
+        measured = VarianceLevels.from_db(-3.0, 1600.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = reconcile_discrepancy(measured, cavity, chain, pump_gain, F0)
+        assert (result.gain_scale, result.efficiency_scale) == (1.4999999, 1.0)
+        assert result.residual_db == 1589.5466322616326 and not result.exact_match
+
+    @pytest.mark.parametrize("gain", [1e300, math.inf])
+    def test_a_gain_at_threshold_within_the_box_is_a_domain_error(self, cavity, chain, gain):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterDomainError, match="at threshold to double precision"):
+                reconcile_discrepancy(MEASURED, cavity, chain, PumpSpec(parametric_gain=gain), F0)
 
 
 class TestSweepEquivalence:

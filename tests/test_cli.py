@@ -117,17 +117,17 @@ class TestSynthFit:
     def test_nonconvergence_exit_code(self, capsys, config_path, tmp_path, monkeypatch):
         import dataclasses
 
-        import sqzlab.cli as cli_mod
+        import sqzlab.fitting
 
         trace_path = tmp_path / "trace.csv"
         run_cli(capsys, "synth", "--config", str(config_path), "--seed", "8", "--out", str(trace_path))
-        real_fit = cli_mod.fitting.fit_trace
+        real_fit = sqzlab.fitting.fit_trace
 
         def capped_fit(trace, model=None):
             result = real_fit(trace, model)
             return dataclasses.replace(result, converged=False)
 
-        monkeypatch.setattr(cli_mod.fitting, "fit_trace", capped_fit)
+        monkeypatch.setattr(sqzlab.fitting, "fit_trace", capped_fit)
         code, out, _ = run_cli(capsys, "fit", "--trace", str(trace_path), "--config", str(config_path))
         assert code == 2
         assert "converged = no" in out

@@ -44,6 +44,8 @@ class TestDetectionEfficiency:
             DetectionChain(0.0, 0.91, 1.0, 14.0)
         with pytest.raises(ParameterDomainError, match="visibility"):
             DetectionChain(0.99, 1.2, 1.0, 14.0)
+        with pytest.raises(ParameterDomainError, match="^detection efficiency .* underflows to 0$"):
+            DetectionChain(1e-200, 1e-100, 1.0, 14.0)  # eta*xi^2 = 1e-400
         # the domain of circuit_noise_floor, so every chain's trace can be fitted
         for clearance in (0.0, -5.0, math.inf, math.nan):
             with pytest.raises(ParameterDomainError, match="^circuit_noise_clearance_db: clearance "

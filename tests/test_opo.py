@@ -99,6 +99,13 @@ class TestDetuning:
         with pytest.raises(ParameterDomainError, match="must be finite and > 0"):
             detuning_parameter(cavity, omega)
 
+    def test_detuning_whose_square_overflows_rejected(self):
+        # W = omega/gamma ~ 2e159 for a 1e160 m cavity: 4*W^2 overflows
+        cavity = CavityParams(1e160, 0.10, 0.0173, 0.023)
+        with pytest.raises(ParameterDomainError,
+                           match=r"^detuning_parameter \S+ overflows 4\*detuning_parameter\^2$"):
+            spectral_point(cavity, 1e6)
+
     def test_frequency_overflowing_to_infinite_omega_rejected(self, cavity):
         # 2*pi*1e308 Hz overflows to omega = inf
         with pytest.raises(ParameterDomainError, match="must be finite and > 0"):
@@ -325,5 +332,14 @@ class TestCavityValidation:
     ])
     def test_out_of_domain_field(self, fields, message):
         # an infinite length used to reach spectral_point as a zero decay rate
+        with pytest.raises(ParameterDomainError, match=message):
+            CavityParams(*fields)
+
+    @pytest.mark.parametrize("fields, message", [
+        ((5.9e216, 1.2e-294, 0.0, 0.02), r"^cavity decay rate c\*\(T \+ L\)/l underflows to 0$"),
+        ((0.6, 1e-170, 0.0, 0.02), r"^cavity threshold \(T \+ L\)\^2/\(4\*E_NL\) underflows to 0$"),
+    ], ids=["decay rate", "threshold"])
+    def test_derived_rate_or_threshold_underflowing_to_zero(self, fields, message):
+        # a zero decay rate made detuning_parameter divide by zero
         with pytest.raises(ParameterDomainError, match=message):
             CavityParams(*fields)
