@@ -20,7 +20,9 @@ _EXPORTS = {
         "PumpSpec",
         "SpectralPoint",
         "VarianceLevels",
+        "at_or_above_threshold",
         "cavity_decay_rate",
+        "check_level_domain",
         "detuning_parameter",
         "escape_efficiency",
         "extremal_variances",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -32,11 +33,12 @@ from .detection import (
     remove_circuit_noise,
 )
 from .opo import (
-    AboveThresholdError,
     CavityParams,
     ParameterDomainError,
     PumpSpec,
     VarianceLevels,
+    at_or_above_threshold,
+    check_level_domain,
     escape_efficiency,
     extremal_variances,
     gain_from_pump_parameter,
@@ -53,6 +55,7 @@ _EDGE_GRID = np.arange(65.0)  # point indices of one box-edge scan round
 # grid indices of the two points around each possible best point of a round
 _EDGE_BOUNDS = np.minimum(np.maximum(np.arange(65)[:, None] + [-1, 1], 0), 64)
 _EDGE_ROWS = np.arange(4)
+_BY_PUMP_POWER = attrgetter("pump_power")
 
 
 def operating_point(cavity: CavityParams, chain: DetectionChain, pump: PumpSpec,
@@ -100,37 +103,59 @@ def sweep_pump(cavity: CavityParams, chain: DetectionChain, pumps: list[PumpSpec
     """Predicted levels for a list of pump drives, ordered by pump power.
 
     The threshold, the efficiencies and the detuning parameter are derived
-    once per sweep; each pump adds only its x and ``min_max_levels``.
-    Above-threshold entries are kept in the table and marked invalid rather
-    than dropped.  Measured level pairs, given as (pump_power_W, levels),
-    attach to the row with the nearest pump power.
+    once per sweep.  Each pump below threshold adds its x and the domain
+    checks and linear pair of ``min_max_levels``; the levels of the whole
+    sweep then go to dB in one log10 call, with the bits of one
+    ``min_max_levels`` call per pump.  A power ``at_or_above_threshold`` is
+    kept in the table as an invalid row rather than dropped.  Measured level
+    pairs, given as (pump_power_W, levels), attach to the row with the
+    nearest pump power; two that attach to the same row raise
+    ParameterDomainError.
     """
     if not pumps:
         raise ParameterDomainError("pump list must not be empty")
     p_th = threshold_power(cavity)
     alpha, rho = detection_efficiency(chain), escape_efficiency(cavity)
     omega_norm = spectral_point(cavity, frequency_hz).detuning_parameter
-    rows = []
+    drives, linear = [], []  # (power, gain, x, kind) per pump, x None above threshold
     for pump in pumps:
-        try:
-            x = pump_parameter(pump, p_th)
-        except AboveThresholdError:
-            rows.append(SweepRow(pump_power=pump.pump_power, parametric_gain=None,
-                                 pump_parameter=None, predicted=None,
-                                 primary=pump.kind, valid=False))
+        kind = pump.kind
+        if kind == "power" and at_or_above_threshold(pump.pump_power, p_th):
+            drives.append((pump.pump_power, None, None, kind))
             continue
-        power = pump.pump_power if pump.kind == "power" else x * x * p_th
-        gain = pump.parametric_gain if pump.kind == "gain" else gain_from_pump_parameter(x)
-        rows.append(SweepRow(pump_power=power, parametric_gain=gain, pump_parameter=x,
-                             predicted=min_max_levels(alpha, rho, x, omega_norm),
-                             primary=pump.kind))
-    rows.sort(key=lambda r: r.pump_power)
+        x = pump_parameter(pump, p_th)
+        drives.append((pump.pump_power if kind == "power" else x * x * p_th,
+                       pump.parametric_gain if kind == "gain" else gain_from_pump_parameter(x),
+                       x, kind))
+        check_level_domain(alpha, rho, x, omega_norm)
+        s_min, s_max = extremal_variances(alpha, rho, x, omega_norm)
+        linear += float(s_min), float(s_max)
+    log_linear = np.log10(linear).tolist()  # one call for the sweep, not two per row
+    # rows and levels in field order: positional arguments cost a dataclass
+    # __init__ less than keywords
+    rows, i = [], 0
+    for power, gain, x, kind in drives:
+        if x is None:
+            rows.append(SweepRow(power, None, None, None, None, kind, False))
+            continue
+        # the dB levels are to_db's 10.0 * np.log10(s), on Python floats
+        levels = VarianceLevels(linear[i], linear[i + 1],
+                                10.0 * log_linear[i], 10.0 * log_linear[i + 1])
+        rows.append(SweepRow(power, gain, x, levels, None, kind))
+        i += 2
+    rows.sort(key=_BY_PUMP_POWER)
     if measured:
         powers = np.array([r.pump_power for r in rows])
-        assigned: dict[int, VarianceLevels] = {}
+        assigned: dict[int, tuple[float, VarianceLevels]] = {}
         for m_power, m_levels in measured:
-            assigned[int(np.argmin(np.abs(powers - m_power)))] = m_levels
-        rows = [replace(r, measured=assigned.get(i)) for i, r in enumerate(rows)]
+            i = int(np.argmin(np.abs(powers - m_power)))
+            if i in assigned:
+                raise ParameterDomainError(
+                    f"measured rows at {assigned[i][0]} W and {m_power} W both attach to "
+                    f"the sweep row at {rows[i].pump_power} W")
+            assigned[i] = m_power, m_levels
+        rows = [replace(r, measured=assigned[i][1]) if i in assigned else r
+                for i, r in enumerate(rows)]
     return rows
 
 

@@ -85,7 +85,8 @@ class PumpSpec:
     """Pump drive, given as exactly one of:
 
     pump_power       pump power incident on the OPO, in watts
-    parametric_gain  classical (intensity) parametric gain G >= 1
+    parametric_gain  classical (intensity) parametric gain G >= 1, short of
+                     the G (about 3.2e32) at which x = 1 - 1/sqrt(G) rounds to 1
     pump_parameter   normalised pump amplitude x in [0, 1)
 
     The representation that was supplied is preserved (``kind``), because
@@ -105,8 +106,13 @@ class PumpSpec:
                 f"exactly one of pump_power/parametric_gain/pump_parameter required, got {given or 'none'}")
         if self.pump_power is not None and not self.pump_power >= 0.0:
             raise ParameterDomainError(f"pump_power must be >= 0, got {self.pump_power}")
-        if self.parametric_gain is not None and not self.parametric_gain >= 1.0:
-            raise ParameterDomainError(f"parametric_gain must be >= 1, got {self.parametric_gain}")
+        if self.parametric_gain is not None:
+            if not self.parametric_gain >= 1.0:
+                raise ParameterDomainError(f"parametric_gain must be >= 1, got {self.parametric_gain}")
+            if not pump_parameter(self) < 1.0:  # from G of about 3.2e32 on, inf included
+                raise ParameterDomainError(
+                    f"parametric_gain {self.parametric_gain} is at threshold to double precision "
+                    "(x = 1 - 1/sqrt(G) rounds to 1)")
         if self.pump_parameter is not None and not 0.0 <= self.pump_parameter < 1.0:
             raise ParameterDomainError(f"pump_parameter must be in [0, 1), got {self.pump_parameter}")
 
@@ -185,6 +191,12 @@ def spectral_point(cavity: CavityParams, frequency_hz: float) -> SpectralPoint:
     return SpectralPoint(detuning_parameter=detuning_parameter(cavity, 2.0 * math.pi * frequency_hz))
 
 
+def at_or_above_threshold(pump_power: float, threshold: float) -> bool:
+    """The threshold rule: the variance model is valid only for a pump power
+    below the threshold power."""
+    return pump_power >= threshold
+
+
 def pump_parameter(pump: PumpSpec, threshold: float | None = None) -> float:
     """Normalised pump amplitude x in [0, 1).
 
@@ -192,13 +204,12 @@ def pump_parameter(pump: PumpSpec, threshold: float | None = None) -> float:
     Gain variant:   x = 1 - 1 / sqrt(G)
     x variant:      identity
 
-    Raises AboveThresholdError for P_pump >= P_th: the variance model is
-    valid only below threshold.
+    Raises AboveThresholdError for a power ``at_or_above_threshold``.
     """
     if pump.kind == "power":
         if threshold is None or not threshold > 0.0:
             raise ParameterDomainError("power variant needs a positive threshold power")
-        if pump.pump_power >= threshold:
+        if at_or_above_threshold(pump.pump_power, threshold):
             raise AboveThresholdError(
                 f"pump power {pump.pump_power} W is at or above threshold {threshold} W")
         return math.sqrt(pump.pump_power / threshold)
@@ -245,8 +256,9 @@ def extremal_variances(alpha, rho, x, omega_norm):
     return s_min, s_max
 
 
-def min_max_levels(alpha: float, rho: float, x: float, omega_norm: float) -> VarianceLevels:
-    """``extremal_variances`` after the domain checks, which NaN fails."""
+def check_level_domain(alpha: float, rho: float, x: float, omega_norm: float) -> None:
+    """Raise ParameterDomainError outside the domain of ``extremal_variances``;
+    NaN fails every check."""
     if not 0.0 <= alpha <= 1.0:
         raise ParameterDomainError(f"detection efficiency must be in [0, 1], got {alpha}")
     if not 0.0 <= rho <= 1.0:
@@ -255,4 +267,9 @@ def min_max_levels(alpha: float, rho: float, x: float, omega_norm: float) -> Var
         raise ParameterDomainError(f"pump parameter must be in [0, 1), got {x}")
     if not omega_norm >= 0.0:
         raise ParameterDomainError(f"detuning parameter must be >= 0, got {omega_norm}")
+
+
+def min_max_levels(alpha: float, rho: float, x: float, omega_norm: float) -> VarianceLevels:
+    """``extremal_variances`` after ``check_level_domain``."""
+    check_level_domain(alpha, rho, x, omega_norm)
     return VarianceLevels.from_linear(*extremal_variances(alpha, rho, x, omega_norm))

@@ -100,6 +100,13 @@ class TestSweep:
         with pytest.raises(ParameterDomainError):
             sweep_pump(cavity, chain, [], F0)
 
+    def test_two_measured_rows_on_one_row_rejected(self, cavity, chain):
+        pumps = [PumpSpec(pump_power=p) for p in (0.061, 0.200)]
+        message = ("^measured rows at 0.06 W and 0.062 W both attach to "
+                   "the sweep row at 0.061 W$")
+        with pytest.raises(ParameterDomainError, match=message):
+            sweep_pump(cavity, chain, pumps, F0, [(0.060, MEASURED), (0.062, MEASURED)])
+
 
 def _grid_search_oracle(measured, cavity, chain, gain, resolution=1e-3):
     """Exhaustive residual scan over the (gain_scale, efficiency_scale) box."""
@@ -345,7 +352,13 @@ def _per_pump_sweep_oracle(cavity, chain, pumps, measured=None):
             primary=pump.kind))
     rows.sort(key=lambda r: r.pump_power)
     powers = np.array([r.pump_power for r in rows])
-    assigned = {int(np.argmin(np.abs(powers - p))): levels for p, levels in measured or []}
+    assigned, attached_at = {}, {}
+    for p, levels in measured or []:
+        i = int(np.argmin(np.abs(powers - p)))
+        if i in assigned:
+            raise ParameterDomainError(f"measured rows at {attached_at[i]} W and {p} W both "
+                                       f"attach to the sweep row at {rows[i].pump_power} W")
+        assigned[i], attached_at[i] = levels, p
     return [SweepRow(pump_power=r.pump_power, parametric_gain=r.parametric_gain,
                      pump_parameter=r.pump_parameter, predicted=r.predicted,
                      measured=assigned.get(i), primary=r.primary, valid=r.valid)
@@ -462,11 +475,11 @@ def _accepted_inputs(draw):
                               draw(st.floats(0.0, 1.0 - transmittance, exclude_max=True)),
                               draw(positive))
         chain = DetectionChain(draw(unit), draw(unit), draw(unit), draw(positive))
+        pump = draw(st.one_of(st.builds(PumpSpec, parametric_gain=st.floats(1.0)),
+                              st.builds(PumpSpec, pump_parameter=st.floats(0.0, 1.0, exclude_max=True)),
+                              st.builds(PumpSpec, pump_power=st.floats(0.0))))
     except ParameterDomainError:
         reject()
-    pump = draw(st.one_of(st.builds(PumpSpec, parametric_gain=st.floats(1.0)),
-                          st.builds(PumpSpec, pump_parameter=st.floats(0.0, 1.0, exclude_max=True)),
-                          st.builds(PumpSpec, pump_power=st.floats(0.0))))
     level = st.floats(-3000.0, 3000.0)
     measured = VarianceLevels.from_db(draw(level), draw(level))
     return measured, cavity, chain, pump, draw(positive)
@@ -543,13 +556,23 @@ class TestAcceptedInputDomain:
                 reconcile_discrepancy(MEASURED, cavity, chain, PumpSpec(parametric_gain=gain), F0)
 
 
+def _outcome(sweep, *args):
+    """The rows of a sweep, or the type and message of the error it raised."""
+    try:
+        return repr(sweep(*args))
+    except ParameterDomainError as exc:
+        return type(exc), str(exc)
+
+
 class TestSweepEquivalence:
-    """Deriving the operating point once per sweep gives the rows of one
-    predict_levels call per pump, bit for bit."""
+    """Deriving the operating point once per sweep and the dB levels in one
+    pass gives the rows and errors of one predict_levels call per pump, bit
+    for bit."""
 
     def test_mixed_pump_lists(self, cavity, chain):
         rng = np.random.default_rng(9)
         p_th = threshold_power(cavity)
+        errors = 0
         for n in range(1, 41):
             pumps = []
             for kind in rng.integers(3, size=n):
@@ -560,8 +583,10 @@ class TestSweepEquivalence:
                 else:
                     pumps.append(PumpSpec(pump_parameter=float(rng.uniform(0.0, 0.999))))
             measured = [(float(rng.uniform(0.0, p_th)), MEASURED) for _ in range(n % 3)]
-            rows = sweep_pump(cavity, chain, pumps, F0, measured)
-            assert repr(rows) == repr(_per_pump_sweep_oracle(cavity, chain, pumps, measured))
+            outcome = _outcome(sweep_pump, cavity, chain, pumps, F0, measured)
+            assert outcome == _outcome(_per_pump_sweep_oracle, cavity, chain, pumps, measured)
+            errors += isinstance(outcome, tuple)
+        assert 0 < errors < 13  # some of the 13 lists with two measured rows collide
 
     def test_threshold_straddling_powers(self, cavity, chain):
         pumps = [PumpSpec(pump_power=p) for p in (0.020, 0.061, 0.1496, 0.149, 0.200)]
@@ -569,3 +594,26 @@ class TestSweepEquivalence:
         assert [r.valid for r in rows] == [True, True, True, False, False]
         assert repr(rows) == repr(_per_pump_sweep_oracle(cavity, chain, pumps,
                                                          [(0.061, MEASURED)]))
+
+    # (kind, value) per pump, a power in units of the threshold power: a power
+    # of exactly P_th and one of inf are invalid rows, like every row of the
+    # last list; numpy scalars must still give levels in Python floats
+    @pytest.mark.parametrize("drives, valid", [
+        ((("power", 0.4), ("power", 1.0), ("gain", 5.3), ("power", math.inf)),
+         [True, True, False, False]),
+        ((("power", 0.4),), [True]),
+        ((("gain", 5.3),), [True]),
+        ((("x", 0.5),), [True]),
+        ((("x", np.float64(0.5)), ("gain", np.float64(5.3))), [True, True]),
+        ((("power", 1.0),), [False]),
+        ((("power", math.inf), ("power", 1.5), ("power", 1.0)), [False, False, False]),
+    ], ids=["at-threshold-and-inf", "one-power", "one-gain", "one-x", "numpy-scalars",
+            "one-at-threshold", "all-above-threshold"])
+    def test_boundary_pump_lists(self, cavity, chain, drives, valid):
+        p_th = threshold_power(cavity)
+        pumps = [PumpSpec(pump_power=value * p_th) if kind == "power"
+                 else PumpSpec(parametric_gain=value) if kind == "gain"
+                 else PumpSpec(pump_parameter=value) for kind, value in drives]
+        rows = sweep_pump(cavity, chain, pumps, F0)
+        assert [r.valid for r in rows] == valid
+        assert repr(rows) == repr(_per_pump_sweep_oracle(cavity, chain, pumps))

@@ -338,6 +338,31 @@ class TestMalformedInputs:
         assert code == 1
         assert err.startswith("error:") and "x > 0" in err
 
+    def test_a_config_gain_at_threshold_names_its_line(self, capsys, config_path, tmp_path):
+        cfg = tmp_path / "huge_gain.cfg"
+        cfg.write_text(config_path.read_text().replace("gain = 5.3", "gain = 1e40"))
+        code, out, err = run_cli(capsys, "predict", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 16: parametric_gain 1e+40 is at threshold to double")
+
+    def test_a_swept_gain_at_threshold_is_named(self, capsys, config_path):
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config_path),
+                                 "--gains", "2,1e40")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: parametric_gain 1e+40 is at threshold to double precision")
+
+    def test_two_measured_rows_on_one_sweep_row_are_an_error(self, capsys, config_path, tmp_path):
+        measured = tmp_path / "measured.csv"
+        measured.write_text("power_mw,s_min_db,s_max_db\n60,-2.75,7.00\n62,-2.8,7.1\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config_path),
+                                 "--powers", "61mW,200mW", "--measured", str(measured))
+        assert code == 1
+        assert out == ""
+        assert err == ("error: measured rows at 0.06 W and 0.062 W both attach to "
+                       "the sweep row at 0.061 W\n")
+
 class TestNonFiniteInputs:
     def test_measured_csv_nan_rejected(self, capsys, config_path, tmp_path):
         measured = tmp_path / "measured.csv"

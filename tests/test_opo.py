@@ -148,6 +148,20 @@ class TestPumpParameter:
         with pytest.raises(ParameterDomainError):
             PumpSpec(pump_power=0.01, parametric_gain=2.0)
 
+    # x = 1 - 1/sqrt(G) rounds to 1 from G = 2**108 on; the largest gain below
+    # it is the largest accepted
+    LARGEST_GAIN = float.fromhex("0x1.fffffffffffffp+107")
+
+    @pytest.mark.parametrize("gain", [2.0 ** 108, 1e40, math.inf])
+    def test_gain_at_threshold_to_double_precision_rejected(self, gain):
+        message = r"^parametric_gain \S+ is at threshold to double precision"
+        with pytest.raises(ParameterDomainError, match=message):
+            PumpSpec(parametric_gain=gain)
+
+    def test_largest_accepted_gain(self):
+        assert pump_parameter(PumpSpec(parametric_gain=self.LARGEST_GAIN)) < 1.0
+        assert math.nextafter(self.LARGEST_GAIN, math.inf) == 2.0 ** 108
+
     def test_kind_is_preserved(self):
         assert PumpSpec(pump_power=0.01).kind == "power"
         assert PumpSpec(parametric_gain=2.0).kind == "gain"
