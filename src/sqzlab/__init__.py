@@ -22,7 +22,6 @@ _EXPORTS = {
         "VarianceLevels",
         "at_or_above_threshold",
         "cavity_decay_rate",
-        "check_level_domain",
         "detuning_parameter",
         "escape_efficiency",
         "extremal_variances",

@@ -38,7 +38,6 @@ from .opo import (
     PumpSpec,
     VarianceLevels,
     at_or_above_threshold,
-    check_level_domain,
     escape_efficiency,
     extremal_variances,
     gain_from_pump_parameter,
@@ -103,14 +102,15 @@ def sweep_pump(cavity: CavityParams, chain: DetectionChain, pumps: list[PumpSpec
     """Predicted levels for a list of pump drives, ordered by pump power.
 
     The threshold, the efficiencies and the detuning parameter are derived
-    once per sweep.  Each pump below threshold adds its x and the domain
-    checks and linear pair of ``min_max_levels``; the levels of the whole
-    sweep then go to dB in one log10 call, with the bits of one
+    once per sweep.  Each pump below threshold adds its x and the linear
+    pair of ``min_max_levels``, whose domain the types already hold (alpha
+    and rho in (0, 1], omega_norm >= 0, x < 1 below threshold); the levels
+    of the whole sweep then go to dB in one log10 call, with the bits of one
     ``min_max_levels`` call per pump.  A power ``at_or_above_threshold`` is
     kept in the table as an invalid row rather than dropped.  Measured level
     pairs, given as (pump_power_W, levels), attach to the row with the
-    nearest pump power; two that attach to the same row raise
-    ParameterDomainError.
+    nearest pump power; a measured power that is not finite and >= 0, or two
+    that attach to the same row, raise ParameterDomainError.
     """
     if not pumps:
         raise ParameterDomainError("pump list must not be empty")
@@ -127,7 +127,6 @@ def sweep_pump(cavity: CavityParams, chain: DetectionChain, pumps: list[PumpSpec
         drives.append((pump.pump_power if kind == "power" else x * x * p_th,
                        pump.parametric_gain if kind == "gain" else gain_from_pump_parameter(x),
                        x, kind))
-        check_level_domain(alpha, rho, x, omega_norm)
         s_min, s_max = extremal_variances(alpha, rho, x, omega_norm)
         linear += float(s_min), float(s_max)
     log_linear = np.log10(linear).tolist()  # one call for the sweep, not two per row
@@ -148,6 +147,9 @@ def sweep_pump(cavity: CavityParams, chain: DetectionChain, pumps: list[PumpSpec
         powers = np.array([r.pump_power for r in rows])
         assigned: dict[int, tuple[float, VarianceLevels]] = {}
         for m_power, m_levels in measured:
+            if not 0.0 <= m_power < math.inf:
+                raise ParameterDomainError(
+                    f"measured pump power must be finite and >= 0, got {m_power} W")
             i = int(np.argmin(np.abs(powers - m_power)))
             if i in assigned:
                 raise ParameterDomainError(
@@ -191,15 +193,17 @@ def _scaled_prediction_db(gain_scale, efficiency_scale, nominal_gain: float, alp
 
 def _box_edge_minimum(measured: VarianceLevels, gain: float, alpha: float, rho: float,
                       omega_norm: float, clearance_db: float, edges: tuple) -> tuple:
-    """(g, e) of least misfit on the box edges ``edges`` = (g_lo, g_hi, e_lo, e_hi).
+    """(g, e, misfit) of least misfit on the box edges ``edges`` = (g_lo, g_hi,
+    e_lo, e_hi).
 
     Rows 0 and 1 scan e on g = g_lo and g_hi, rows 2 and 3 scan g on e = e_lo
     and e_hi, each on a 65-point grid narrowed five times around its best
     point; the best of the last round's row minima wins.  Each element is
     the misfit of ``_scaled_prediction_db`` with the same operations in the
-    same order, so the point is the one a scan of that function finds, bit
-    for bit.  The fixed coordinate's chain is worked out once per row, and a
-    round evaluates only the scanned chain, in place.
+    same order, so the point is the one a scan of that function finds, and
+    the returned misfit that function's value there, bit for bit.  The
+    fixed coordinate's chain is worked out once per row, and a round
+    evaluates only the scanned chain, in place.
     """
     g_lo, g_hi, e_lo, e_hi = edges
     w2 = 4.0 * omega_norm * omega_norm
@@ -268,8 +272,8 @@ def _box_edge_minimum(measured: VarianceLevels, gain: float, alpha: float, rho: 
         bounds = t[_EDGE_ROWS[:, None], _EDGE_BOUNDS[i]]
         lo, hi = bounds[:, :1], bounds[:, 1:]
     best = int(values[_EDGE_ROWS, i].argmin())
-    point = t[best, i[best]]
-    return (edges[best], point) if best < 2 else (point, edges[best])
+    point, misfit = t[best, i[best]], values[best, i[best]]
+    return (edges[best], point, misfit) if best < 2 else (point, edges[best], misfit)
 
 
 def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
@@ -278,9 +282,10 @@ def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
     """Find (gain_scale, efficiency_scale), g in (0.5, 1.5) and e in (0.3, 1],
     whose corrected prediction matches the measured levels.
 
-    The measured levels, mapped back through the electronic floor to S_min
-    and S_max, give R = (S_max - 1) / (1 - S_min) = D+ / D-, with
-    D+- = (1 +- x)^2 + 4 W^2: a quadratic in the pump parameter x.  Its root
+    The measured levels, each mapped back through the electronic floor by
+    ``remove_circuit_noise`` to S_min and S_max, give
+    R = (S_max - 1) / (1 - S_min) = D+ / D-, with D+- = (1 +- x)^2 + 4 W^2:
+    a quadratic in the pump parameter x.  Its root
     x = (R - 1)(1 + 4W^2) / (1 + R + sqrt((1 + R)^2 - (1 - R)^2 (1 + 4W^2)))
     in [0, 1) gives g = 1 / ((1 - x)^2 G) and e = (S_max - 1) D- / (4 a r x).
 
@@ -294,10 +299,12 @@ def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
     fixed coordinate is worked out once, a round evaluates only the scanned
     coordinate's chain in place, and both levels go through the electronic
     floor as one stacked array, every element in the operation order of
-    ``_scaled_prediction_db``.  ``iterations`` is always 0.  A level at or
-    below the electronic floor raises ParameterDomainError, and so do an
-    efficiency product alpha*rho that underflows (below the smallest normal
-    float) and a gain G at which 1.5*G is at threshold to double precision.
+    ``_scaled_prediction_db``, so the scan's last-round value at its point
+    is the residual: the forward model is evaluated only at an in-box root.
+    ``iterations`` is always 0.  A level at or below the electronic floor
+    raises ParameterDomainError, and so do an efficiency product alpha*rho
+    that underflows (below the smallest normal float) and a gain G at which
+    1.5*G is at threshold to double precision.
     """
     if pump.kind != "gain":
         raise ParameterDomainError(
@@ -313,13 +320,8 @@ def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
                                    "is at threshold to double precision")
     clearance = chain.circuit_noise_clearance_db
     # Python floats, so that a product overflowing below gives inf, not a warning
-    s_min, s_max = remove_circuit_noise(np.array([measured.s_min_db, measured.s_max_db]),
-                                        clearance).tolist()
-
-    def misfit(g, e):
-        lo_db, hi_db = _scaled_prediction_db(g, e, gain, alpha, rho, omega_norm, clearance)
-        return np.hypot(lo_db - measured.s_min_db, hi_db - measured.s_max_db)
-
+    s_min = remove_circuit_noise(measured.s_min_db, clearance)
+    s_max = remove_circuit_noise(measured.s_max_db, clearance)
     g_lo, g_hi = GAIN_SCALE_BOX
     e_lo, e_hi = EFFICIENCY_SCALE_BOX
     in_box = False
@@ -336,12 +338,15 @@ def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
                 g = 1.0 / (below * gain)
                 e = (s_max - 1.0) * (below + w2) / (4.0 * alpha * rho * x)
                 in_box = g_lo < g < g_hi and e_lo < e <= e_hi + 1e-12  # e = 1 to rounding
-    if not in_box:
+    if in_box:
+        lo_db, hi_db = _scaled_prediction_db(g, e, gain, alpha, rho, omega_norm, clearance)
+        norm = np.hypot(lo_db - measured.s_min_db, hi_db - measured.s_max_db)
+    else:
         eps = 1e-7  # the box is open at g = 0.5, 1.5 and e = 0.3
         g_lo, g_hi, e_lo = g_lo + eps, g_hi - eps, e_lo + eps
-        g, e = _box_edge_minimum(measured, gain, alpha, rho, omega_norm, clearance,
-                                 (g_lo, g_hi, e_lo, e_hi))
-    norm = float(misfit(g, e))
+        g, e, norm = _box_edge_minimum(measured, gain, alpha, rho, omega_norm, clearance,
+                                       (g_lo, g_hi, e_lo, e_hi))
+    norm = float(norm)
     return ReconcileResult(
         gain_scale=float(g),
         efficiency_scale=min(float(e), e_hi),
@@ -393,8 +398,9 @@ def loss_only_explanation_check(measured: VarianceLevels, cavity: CavityParams,
     d_plus = (1.0 + x) * (1.0 + x) + 4.0 * omega_norm * omega_norm  # as in extremal_variances
     e = (1.0 - s_min_underlying) * d_plus / (4.0 * alpha * rho * x)
     e = min(e, 1.0)  # efficiency cannot exceed the nominal chain
-    levels = min_max_levels(e * alpha, rho, x, omega_norm)
-    s_max_pred_db = apply_circuit_noise(levels.s_max, clearance)
+    # e*alpha, rho, x and omega_norm lie in the domain of min_max_levels
+    s_max_pred_db = apply_circuit_noise(extremal_variances(e * alpha, rho, x, omega_norm)[1],
+                                        clearance)
     err = s_max_pred_db - measured.s_max_db
     return LossOnlyReport(
         efficiency_scale=float(e),

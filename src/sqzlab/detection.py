@@ -197,24 +197,19 @@ def apply_circuit_noise(s_linear, clearance_db: float):
     return to_db((s + n) / (1.0 + n))
 
 
-def remove_circuit_noise(observed_db, clearance_db: float):
-    """Underlying linear variance from an observed level; inverse of
-    apply_circuit_noise, with its clearance domain and the scalar/array
-    contract of ``to_db``.  Values at or below the floor (and NaN) raise."""
+def remove_circuit_noise(observed_db, clearance_db: float) -> float:
+    """Underlying linear variance, as a Python float, from one observed level
+    (a float, a numpy float or a 0-d array); inverse of apply_circuit_noise,
+    with its clearance domain.  A level at or below the floor (and NaN)
+    raises ParameterDomainError; an array of one or more dimensions, or a
+    list, is a TypeError from float()."""
     n = circuit_noise_floor(clearance_db)
-    # np.float64 ** is libm's pow, as float ** is (a 0-d input is a np.float64
-    # once divided); arrays of one or more dimensions use numpy's own loop,
-    # which can differ from libm's by an ulp
-    if isinstance(observed_db, float):
-        s = float(10.0 ** np.float64(observed_db / 10.0)) * (1.0 + n) - n
-        if not s > 0.0:
-            raise ParameterDomainError("observed level lies at or below the electronic floor")
-        return s
-    observed = np.asarray(observed_db, dtype=float)
-    s = 10.0 ** (observed / 10.0) * (1.0 + n) - n
-    if not (s > 0.0).all():
+    # np.float64 ** is libm's pow, as float ** is, but overflows to inf
+    # rather than raising OverflowError
+    s = float(10.0 ** np.float64(float(observed_db) / 10.0)) * (1.0 + n) - n
+    if not s > 0.0:
         raise ParameterDomainError("observed level lies at or below the electronic floor")
-    return s if observed.ndim else float(s)
+    return s
 
 
 def jitter_averaged_variance(theta0: float, sigma: float, alpha: float, rho: float,

@@ -256,9 +256,8 @@ def extremal_variances(alpha, rho, x, omega_norm):
     return s_min, s_max
 
 
-def check_level_domain(alpha: float, rho: float, x: float, omega_norm: float) -> None:
-    """Raise ParameterDomainError outside the domain of ``extremal_variances``;
-    NaN fails every check."""
+def min_max_levels(alpha: float, rho: float, x: float, omega_norm: float) -> VarianceLevels:
+    """``extremal_variances`` after the domain checks, which NaN fails."""
     if not 0.0 <= alpha <= 1.0:
         raise ParameterDomainError(f"detection efficiency must be in [0, 1], got {alpha}")
     if not 0.0 <= rho <= 1.0:
@@ -267,9 +266,4 @@ def check_level_domain(alpha: float, rho: float, x: float, omega_norm: float) ->
         raise ParameterDomainError(f"pump parameter must be in [0, 1), got {x}")
     if not omega_norm >= 0.0:
         raise ParameterDomainError(f"detuning parameter must be >= 0, got {omega_norm}")
-
-
-def min_max_levels(alpha: float, rho: float, x: float, omega_norm: float) -> VarianceLevels:
-    """``extremal_variances`` after ``check_level_domain``."""
-    check_level_domain(alpha, rho, x, omega_norm)
     return VarianceLevels.from_linear(*extremal_variances(alpha, rho, x, omega_norm))

@@ -107,6 +107,14 @@ class TestSweep:
         with pytest.raises(ParameterDomainError, match=message):
             sweep_pump(cavity, chain, pumps, F0, [(0.060, MEASURED), (0.062, MEASURED)])
 
+    @pytest.mark.parametrize("power, shown", [(math.nan, "nan"), (math.inf, "inf"),
+                                              (-0.005, "-0.005")])
+    def test_measured_power_outside_the_pump_domain_rejected(self, cavity, chain, power, shown):
+        pumps = [PumpSpec(pump_power=p) for p in (0.020, 0.061)]
+        message = f"^measured pump power must be finite and >= 0, got {shown} W$"
+        with pytest.raises(ParameterDomainError, match=message):
+            sweep_pump(cavity, chain, pumps, F0, [(power, MEASURED)])
+
 
 def _grid_search_oracle(measured, cavity, chain, gain, resolution=1e-3):
     """Exhaustive residual scan over the (gain_scale, efficiency_scale) box."""

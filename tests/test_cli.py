@@ -363,6 +363,16 @@ class TestMalformedInputs:
         assert err == ("error: measured rows at 0.06 W and 0.062 W both attach to "
                        "the sweep row at 0.061 W\n")
 
+    def test_a_negative_measured_power_is_an_error(self, capsys, config_path, tmp_path):
+        measured = tmp_path / "measured.csv"
+        measured.write_text("power_mw,s_min_db,s_max_db\n-5,-3.0,6.0\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config_path),
+                                 "--powers", "20mW,61mW", "--measured", str(measured))
+        assert code == 1
+        assert out == ""
+        assert err == "error: measured pump power must be finite and >= 0, got -0.005 W\n"
+
+
 class TestNonFiniteInputs:
     def test_measured_csv_nan_rejected(self, capsys, config_path, tmp_path):
         measured = tmp_path / "measured.csv"

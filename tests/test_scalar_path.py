@@ -33,6 +33,7 @@ from sqzlab import (
     sweep_pump,
 )
 from sqzlab.analysis import EFFICIENCY_SCALE_BOX, GAIN_SCALE_BOX, _scaled_prediction_db
+from sqzlab.detection import circuit_noise_floor
 from sqzlab.opo import from_db, to_db
 
 from conftest import CANONICAL_CONFIG
@@ -131,6 +132,29 @@ class TestGoldenOutputs:
                                        cfg.detection, cfg.pump, f)
         assert _hexes(result) == RECONCILE[pair_db]
 
+    def test_reconcile_maps_each_level_with_the_scalar_call(self, bundled):
+        """(-3.97, +8.15) dB, whose levels a 2-element array map puts an ulp
+        away from the scalar map, gives the closed-form root on the
+        scalar-mapped levels."""
+        cfg, f = bundled
+        alpha, rho, _, omega_norm = operating_point(cfg.cavity, cfg.detection, cfg.pump, f)
+        clearance, gain = cfg.detection.circuit_noise_clearance_db, cfg.pump.parametric_gain
+        s_min, s_max = (remove_circuit_noise(v, clearance) for v in (-3.97, 8.15))
+        n = circuit_noise_floor(clearance)
+        assert (10.0 ** (np.array([-3.97, 8.15]) / 10.0) * (1.0 + n) - n).tolist() != [s_min, s_max]
+        ratio = (s_max - 1.0) / (1.0 - s_min)
+        w2 = 4.0 * omega_norm * omega_norm
+        disc = (1.0 + ratio) ** 2 - (1.0 - ratio) ** 2 * (1.0 + w2)
+        x = (ratio - 1.0) * (1.0 + w2) / (1.0 + ratio + math.sqrt(disc))
+        below = (1.0 - x) * (1.0 - x)
+        result = reconcile_discrepancy(VarianceLevels.from_db(-3.97, 8.15), cfg.cavity,
+                                       cfg.detection, cfg.pump, f)
+        assert result.exact_match
+        assert result.gain_scale == 1.0 / (below * gain)
+        assert result.efficiency_scale == (s_max - 1.0) * (below + w2) / (4.0 * alpha * rho * x)
+        assert (result.gain_scale.hex(), result.efficiency_scale.hex()) == (
+            '0x1.c1d58ef7bfd51p-1', '0x1.ffd1e2f756e4dp-1')
+
     def test_loss_only_explanation_check(self, bundled):
         cfg, f = bundled
         report = loss_only_explanation_check(VarianceLevels.from_db(-2.75, 7.00), cfg.cavity,
@@ -144,8 +168,8 @@ def _linspace_reconcile_oracle(measured, cavity, chain, pump, frequency_hz):
     gain = pump.parametric_gain
     alpha, rho, _, omega_norm = operating_point(cavity, chain, pump, frequency_hz)
     clearance = chain.circuit_noise_clearance_db
-    s_min, s_max = remove_circuit_noise(np.array([measured.s_min_db, measured.s_max_db]),
-                                        clearance)
+    s_min = remove_circuit_noise(measured.s_min_db, clearance)
+    s_max = remove_circuit_noise(measured.s_max_db, clearance)
 
     def misfit(g, e):
         lo_db, hi_db = _scaled_prediction_db(g, e, gain, alpha, rho, omega_norm, clearance)
@@ -245,12 +269,16 @@ class TestScalarReturnContract:
         for arg in (value, np.float64(value), np.array(value)):
             assert type(fn(arg)) is float
 
-    @pytest.mark.parametrize("fn", [to_db, from_db, lambda v: remove_circuit_noise(v, 14.0),
-                                    lambda v: apply_circuit_noise(v, 14.0)])
+    @pytest.mark.parametrize("fn", [to_db, from_db, lambda v: apply_circuit_noise(v, 14.0)])
     @pytest.mark.parametrize("shape", [(1,), (3,), (2, 3)])
     def test_array_in_same_shape_array_out(self, fn, shape):
         out = fn(np.full(shape, 2.0))
         assert isinstance(out, np.ndarray) and out.shape == shape
+
+    @pytest.mark.parametrize("arg", [np.full(1, 2.0), np.full(3, 2.0), [0.0, 0.0]])
+    def test_remove_circuit_noise_takes_one_scalar(self, arg):
+        with pytest.raises(TypeError):
+            remove_circuit_noise(arg, 14.0)
 
     @pytest.mark.parametrize("fn, values, clearances", [
         (remove_circuit_noise, (-10.0, 30.0), (10.5, 40.0)),  # dB, above every floor
@@ -266,7 +294,6 @@ class TestScalarReturnContract:
 
     def test_list_input_is_an_array(self):
         assert to_db([1.0, 10.0]).tolist() == [0.0, 10.0]
-        assert remove_circuit_noise([0.0, 0.0], 14.0) == pytest.approx([1.0, 1.0], abs=1e-15)
 
 
 class TestScalarDomainContract:
@@ -276,7 +303,7 @@ class TestScalarDomainContract:
             apply_circuit_noise(bad, 14.0)
 
     @pytest.mark.parametrize("bad", [-20.0, -math.inf, math.nan, np.array(-20.0),
-                                     np.array(math.nan), [0.0, math.nan]])
+                                     np.array(math.nan)])
     def test_remove_circuit_noise_rejects(self, bad):
         with pytest.raises(ParameterDomainError,
                            match=r"^observed level lies at or below the electronic floor$"):
