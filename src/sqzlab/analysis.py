@@ -45,6 +45,7 @@ from .opo import (
     pump_parameter,
     spectral_point,
     threshold_power,
+    to_db,
 )
 
 GAIN_SCALE_BOX = (0.5, 1.5)
@@ -105,10 +106,10 @@ def sweep_pump(cavity: CavityParams, chain: DetectionChain, pumps: list[PumpSpec
     once per sweep.  Each pump below threshold adds its x and the linear
     pair of ``min_max_levels``, whose domain the types already hold (alpha
     and rho in (0, 1], omega_norm >= 0, x < 1 below threshold); the levels
-    of the whole sweep then go to dB in one log10 call, with the bits of one
-    ``min_max_levels`` call per pump.  A power ``at_or_above_threshold`` is
-    kept in the table as an invalid row rather than dropped.  Measured level
-    pairs, given as (pump_power_W, levels), attach to the row with the
+    of the whole sweep then go to dB in one ``to_db`` call, with the bits of
+    one ``min_max_levels`` call per pump.  A power ``at_or_above_threshold``
+    is kept in the table as an invalid row rather than dropped.  Measured
+    level pairs, given as (pump_power_W, levels), attach to the row with the
     nearest pump power; a measured power that is not finite and >= 0, or two
     that attach to the same row, raise ParameterDomainError.
     """
@@ -129,7 +130,7 @@ def sweep_pump(cavity: CavityParams, chain: DetectionChain, pumps: list[PumpSpec
                        x, kind))
         s_min, s_max = extremal_variances(alpha, rho, x, omega_norm)
         linear += float(s_min), float(s_max)
-    log_linear = np.log10(linear).tolist()  # one call for the sweep, not two per row
+    db = to_db(linear).tolist()  # one call for the sweep, not two per row
     # rows and levels in field order: positional arguments cost a dataclass
     # __init__ less than keywords
     rows, i = [], 0
@@ -137,9 +138,7 @@ def sweep_pump(cavity: CavityParams, chain: DetectionChain, pumps: list[PumpSpec
         if x is None:
             rows.append(SweepRow(power, None, None, None, None, kind, False))
             continue
-        # the dB levels are to_db's 10.0 * np.log10(s), on Python floats
-        levels = VarianceLevels(linear[i], linear[i + 1],
-                                10.0 * log_linear[i], 10.0 * log_linear[i + 1])
+        levels = VarianceLevels(linear[i], linear[i + 1], db[i], db[i + 1])
         rows.append(SweepRow(power, gain, x, levels, None, kind))
         i += 2
     rows.sort(key=_BY_PUMP_POWER)

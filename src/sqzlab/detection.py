@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opo import ParameterDomainError, min_max_levels, quadrature_variance, to_db
+from .opo import ParameterDomainError, from_db, min_max_levels, quadrature_variance, to_db
 
 _REAL = (float, int, numbers.Real)  # float and int first: they skip the slow ABC check
 _MAX_INDEX = int(np.iinfo(np.intp).max)  # the largest count numpy can index
@@ -40,7 +40,7 @@ def circuit_noise_floor(clearance_db) -> float:
     (a trace header may carry text) raises ParameterDomainError."""
     if not (isinstance(clearance_db, _REAL) and 0.0 < clearance_db < math.inf):
         raise ParameterDomainError(f"clearance must be finite and > 0 dB, got {clearance_db}")
-    return 10.0 ** (-clearance_db / 10.0)
+    return from_db(-clearance_db)
 
 
 @dataclass(frozen=True)
@@ -202,13 +202,15 @@ def remove_circuit_noise(observed_db, clearance_db: float) -> float:
     (a float, a numpy float or a 0-d array); inverse of apply_circuit_noise,
     with its clearance domain.  A level at or below the floor (and NaN)
     raises ParameterDomainError; an array of one or more dimensions, or a
-    list, is a TypeError from float()."""
+    list, is a TypeError from float().  A level whose variance overflows
+    (above about 3082 dB) raises ParameterDomainError too."""
     n = circuit_noise_floor(clearance_db)
-    # np.float64 ** is libm's pow, as float ** is, but overflows to inf
-    # rather than raising OverflowError
-    s = float(10.0 ** np.float64(float(observed_db) / 10.0)) * (1.0 + n) - n
+    level = float(observed_db)
+    s = from_db(level) * (1.0 + n) - n
     if not s > 0.0:
         raise ParameterDomainError("observed level lies at or below the electronic floor")
+    if s == math.inf:
+        raise ParameterDomainError(f"observed level {level} dB overflows as a linear variance")
     return s
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detection import NoiseTrace, circuit_noise_floor
-from .opo import ParameterDomainError, VarianceLevels
+from .opo import ParameterDomainError, VarianceLevels, from_db
 
 _LN10_OVER_10 = math.log(10.0) / 10.0
 _N_FREE = 4
@@ -350,8 +350,8 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     phase = np.multiply(2.0 * rate, trace.times, out=design[2])
     np.cos(phase, out=design[1])
     np.sin(phase, out=design[2])
-    with np.errstate(over="ignore"):
-        s = 10.0 ** (trace.powers_db / 10.0) * (1.0 + floor) - floor
+    with np.errstate(over="ignore"):  # a finite 10^(y/10) can overflow times 1 + n
+        s = from_db(trace.powers_db) * (1.0 + floor) - floor
     if not np.isfinite(s).all():
         raise ParameterDomainError(
             f"the trace sample of {trace.powers_db.max()} dB overflows as a linear power, "

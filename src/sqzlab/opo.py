@@ -43,8 +43,15 @@ def to_db(s_linear):
 
 def from_db(s_db):
     """dB (relative to shot noise) -> linear variance; scalar/array contract
-    of ``to_db``."""
-    out = 10.0 ** (np.asarray(s_db) / 10.0)
+    of ``to_db``.  A variance that overflows (a level above about 3082 dB)
+    is inf, without a warning."""
+    if isinstance(s_db, float):  # np.float64 included: Python's float pow is libm's pow
+        try:
+            return 10.0 ** (float(s_db) / 10.0)
+        except OverflowError:
+            return math.inf
+    with np.errstate(over="ignore"):
+        out = 10.0 ** (np.asarray(s_db) / 10.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,14 +14,10 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from sqzlab import (
-    AcquisitionSettings,
-    CavityParams,
     DetectionChain,
     FitModel,
-    PhaseScan,
     PumpSpec,
     VarianceLevels,
     detection_efficiency,
@@ -46,30 +42,14 @@ from sqzlab import (
 )
 from sqzlab.cli import main as cli_main
 
-from conftest import CANONICAL_CONFIG
+from conftest import CANONICAL_CONFIG, F0, grid_search_oracle, bench_acq
 
-F0 = 1e6
 MEASURED = VarianceLevels.from_db(-2.75, 7.00)
 
 
 def _report(name: str, ok: bool, detail: str) -> bool:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return ok
-
-
-@pytest.fixture(scope="module")
-def cavity():
-    return CavityParams(0.600, 0.10, 0.0173, 0.023)
-
-
-@pytest.fixture(scope="module")
-def chain():
-    return DetectionChain(0.99, 0.91, 1.0, 14.0)
-
-
-@pytest.fixture(scope="module")
-def pump():
-    return PumpSpec(parametric_gain=5.3)
 
 
 def test_criterion_1_threshold(cavity):
@@ -79,11 +59,11 @@ def test_criterion_1_threshold(cavity):
                    f"P_th = {p_th_mw:.4f} mW (expect 149.6 mW, quoted 150 mW, +/-1%)")
 
 
-def test_criterion_2_derived_parameters(cavity, chain, pump):
+def test_criterion_2_derived_parameters(cavity, chain, pump_gain):
     rho = escape_efficiency(cavity)
     alpha = detection_efficiency(chain)
     omega = spectral_point(cavity, F0).detuning_parameter
-    x = pump_parameter(pump, threshold_power(cavity))
+    x = pump_parameter(pump_gain, threshold_power(cavity))
     checks = {
         "rho": abs(rho - 0.8525) <= 0.01 and abs(rho - 0.85) <= 0.01,
         "alpha": abs(alpha - 0.8198) <= 0.005 and abs(alpha - 0.82) <= 0.005,
@@ -96,16 +76,16 @@ def test_criterion_2_derived_parameters(cavity, chain, pump):
                    f"(failing: {[k for k, v in checks.items() if not v] or 'none'})")
 
 
-def test_criterion_3_variance_prediction(cavity, chain, pump):
-    levels = predict_levels(cavity, chain, pump, F0)
+def test_criterion_3_variance_prediction(cavity, chain, pump_gain):
+    levels = predict_levels(cavity, chain, pump_gain, F0)
     ok = abs(levels.s_min_db - (-4.35)) <= 0.1 and abs(levels.s_max_db - 8.97) <= 0.1
     assert _report("criterion 3 variance prediction", ok,
                    f"(s_min, s_max) = ({levels.s_min_db:+.3f}, {levels.s_max_db:+.3f}) dB "
                    f"(expect (-4.35, +8.97) +/- 0.1 dB)")
 
 
-def test_criterion_4_circuit_noise_correction(cavity, chain, pump, capsys):
-    corrected = predict_levels(cavity, chain, pump, F0, include_circuit_noise=True)
+def test_criterion_4_circuit_noise_correction(cavity, chain, pump_gain, capsys):
+    corrected = predict_levels(cavity, chain, pump_gain, F0, include_circuit_noise=True)
     ok_levels = (abs(corrected.s_min_db - (-4.07)) <= 0.05
                  and abs(corrected.s_max_db - 8.82) <= 0.2)
     code = cli_main(["predict", "--config", str(CANONICAL_CONFIG), "--circuit-noise"])
@@ -118,30 +98,12 @@ def test_criterion_4_circuit_noise_correction(cavity, chain, pump, capsys):
                        f"(expect -4.07 +/- 0.05, +8.82 +/- 0.2); convention note printed: {ok_doc}")
 
 
-def _grid_search_oracle(measured, cavity, chain, gain, resolution=1e-3):
-    alpha = detection_efficiency(chain)
-    rho = escape_efficiency(cavity)
-    omega = spectral_point(cavity, F0).detuning_parameter
-    n = 10.0 ** (-chain.circuit_noise_clearance_db / 10.0)
-    gs = np.arange(0.5 + resolution, 1.5, resolution)
-    es = np.arange(0.3 + resolution, 1.0 + resolution / 2, resolution)
-    gg, ee = np.meshgrid(gs, es, indexing="ij")
-    x = 1.0 - 1.0 / np.sqrt(gg * gain)
-    w2 = 4.0 * omega * omega
-    hi = 1.0 + 4.0 * ee * alpha * rho * x / ((1.0 - x) ** 2 + w2)
-    lo = 1.0 - 4.0 * ee * alpha * rho * x / ((1.0 + x) ** 2 + w2)
-    resid = np.hypot(10.0 * np.log10((lo + n) / (1.0 + n)) - measured.s_min_db,
-                     10.0 * np.log10((hi + n) / (1.0 + n)) - measured.s_max_db)
-    i, j = np.unravel_index(int(np.argmin(resid)), resid.shape)
-    return float(gs[i]), float(es[j]), float(resid[i, j])
-
-
-def test_criterion_5a_reconciliation_solver(cavity, chain, pump):
+def test_criterion_5a_reconciliation_solver(cavity, chain, pump_gain):
     t0 = time.perf_counter()
-    result = reconcile_discrepancy(MEASURED, cavity, chain, pump, F0)
+    result = reconcile_discrepancy(MEASURED, cavity, chain, pump_gain, F0)
     solve_s = time.perf_counter() - t0
-    g_grid, e_grid, _ = _grid_search_oracle(MEASURED, cavity, chain, 5.3)
-    loss = loss_only_explanation_check(MEASURED, cavity, chain, pump, F0)
+    g_grid, e_grid, _ = grid_search_oracle(MEASURED, cavity, chain, 5.3)
+    loss = loss_only_explanation_check(MEASURED, cavity, chain, pump_gain, F0)
     checks = {
         "efficiency <= 1": result.efficiency_scale <= 1.0,
         "residual < 0.05 dB": result.residual_db < 0.05,
@@ -158,10 +120,10 @@ def test_criterion_5a_reconciliation_solver(cavity, chain, pump):
                    f"(failing: {[k for k, v in checks.items() if not v] or 'none'})")
 
 
-def test_criterion_5b_gain_scale_window(cavity, chain, pump):
+def test_criterion_5b_gain_scale_window(cavity, chain, pump_gain):
     """Expected-window check kept as stated; see the module docstring for why
     the data put the intensity-gain scale at 0.821 (amplitude-gain 0.906)."""
-    result = reconcile_discrepancy(MEASURED, cavity, chain, pump, F0)
+    result = reconcile_discrepancy(MEASURED, cavity, chain, pump_gain, F0)
     ok = 0.85 <= result.gain_scale <= 0.95
     assert _report("criterion 5b gain-scale window", ok,
                    f"gain_scale = {result.gain_scale:.4f}, window [0.85, 0.95]; "
@@ -188,14 +150,6 @@ def test_criterion_6_pump_sweep_shape(cavity, chain):
                    f"{anchor.predicted.s_max_db:+.3f}) dB")
 
 
-def _acq(jitter, samples=401, sweep=0.2, period=0.2):
-    return AcquisitionSettings(center_frequency=F0, resolution_bandwidth=1e5,
-                               video_bandwidth=30.0, sweep_duration=sweep,
-                               sample_count=samples,
-                               lo_scan=PhaseScan(period=period, theta0=0.0,
-                                                 jitter_sigma=jitter))
-
-
 def test_criterion_7_fit_round_trip_suite(cavity, chain):
     alpha = detection_efficiency(chain)
     rho = escape_efficiency(cavity)
@@ -209,7 +163,7 @@ def test_criterion_7_fit_round_trip_suite(cavity, chain):
         for ci, clearance in enumerate((10.0, 14.0, 20.0)):
             cell_chain = DetectionChain(0.99, 0.91, 1.0, clearance)
             for ji, jitter in enumerate((0.0, 0.05)):
-                acq = _acq(jitter)
+                acq = bench_acq(jitter=jitter)
                 guess = FitModel(s_min_db=truth.s_min_db + 0.5, s_max_db=truth.s_max_db - 0.5,
                                  theta0=0.3, scan_rate=2 * math.pi / 0.2 * 1.03,
                                  omega_norm=omega, clearance_db=clearance,
@@ -254,11 +208,11 @@ def test_criterion_7_fit_round_trip_suite(cavity, chain):
                    f"(need within [0.05, 0.3])")
 
 
-def test_criterion_8_oracle_equivalences(cavity, chain, pump, acquisition):
+def test_criterion_8_oracle_equivalences(cavity, chain, pump_gain, acquisition):
     alpha = detection_efficiency(chain)
     rho = escape_efficiency(cavity)
     omega = spectral_point(cavity, F0).detuning_parameter
-    x = pump_parameter(pump, threshold_power(cavity))
+    x = pump_parameter(pump_gain, threshold_power(cavity))
     levels = min_max_levels(alpha, rho, x, omega)
     a_mid = 0.5 * (levels.s_max + levels.s_min)
     b_amp = 0.5 * (levels.s_max - levels.s_min)

@@ -13,7 +13,6 @@ from sqzlab import (
     DetectionChain,
     ParameterDomainError,
     PumpSpec,
-    ReconcileResult,
     SweepRow,
     VarianceLevels,
     apply_circuit_noise,
@@ -29,10 +28,11 @@ from sqzlab import (
     sweep_pump,
     threshold_power,
 )
-from sqzlab.analysis import EFFICIENCY_SCALE_BOX, GAIN_SCALE_BOX, _scaled_prediction_db
 from sqzlab.detection import circuit_noise_floor
 
-F0 = 1e6
+from conftest import (F0, closed_form_reconcile, grid_search_oracle,
+                      sequential_edge_reconcile)
+
 MEASURED = VarianceLevels.from_db(-2.75, 7.00)
 
 # frozen from direct evaluation of the composed pipeline
@@ -116,27 +116,6 @@ class TestSweep:
             sweep_pump(cavity, chain, pumps, F0, [(power, MEASURED)])
 
 
-def _grid_search_oracle(measured, cavity, chain, gain, resolution=1e-3):
-    """Exhaustive residual scan over the (gain_scale, efficiency_scale) box."""
-    alpha = detection_efficiency(chain)
-    rho = escape_efficiency(cavity)
-    omega = spectral_point(cavity, F0).detuning_parameter
-    clearance = chain.circuit_noise_clearance_db
-    gs = np.arange(0.5 + resolution, 1.5, resolution)
-    es = np.arange(0.3 + resolution, 1.0 + resolution / 2, resolution)
-    gg, ee = np.meshgrid(gs, es, indexing="ij")
-    x = 1.0 - 1.0 / np.sqrt(gg * gain)
-    w2 = 4.0 * omega * omega
-    lobe_hi = 1.0 + 4.0 * ee * alpha * rho * x / ((1.0 - x) ** 2 + w2)
-    lobe_lo = 1.0 - 4.0 * ee * alpha * rho * x / ((1.0 + x) ** 2 + w2)
-    n = 10.0 ** (-clearance / 10.0)
-    hi_db = 10.0 * np.log10((lobe_hi + n) / (1.0 + n))
-    lo_db = 10.0 * np.log10((lobe_lo + n) / (1.0 + n))
-    resid = np.hypot(lo_db - measured.s_min_db, hi_db - measured.s_max_db)
-    i, j = np.unravel_index(int(np.argmin(resid)), resid.shape)
-    return float(gs[i]), float(es[j]), float(resid[i, j])
-
-
 class TestReconcile:
     def test_quoted_measurement(self, cavity, chain, pump_gain):
         result = reconcile_discrepancy(MEASURED, cavity, chain, pump_gain, F0)
@@ -150,7 +129,7 @@ class TestReconcile:
 
     def test_agrees_with_grid_oracle(self, cavity, chain, pump_gain):
         result = reconcile_discrepancy(MEASURED, cavity, chain, pump_gain, F0)
-        g_grid, e_grid, r_grid = _grid_search_oracle(MEASURED, cavity, chain, 5.3)
+        g_grid, e_grid, r_grid = grid_search_oracle(MEASURED, cavity, chain, 5.3)
         assert abs(result.gain_scale - g_grid) <= 2e-3
         assert abs(result.efficiency_scale - e_grid) <= 2e-3
         assert result.residual_db <= r_grid + 1e-9
@@ -189,18 +168,11 @@ class TestReconcile:
         assert result.residual_db > 0.05
 
 
-def _forward_levels(cavity, chain, pump, gain_scale, efficiency_scale):
-    """Observed-level pair generated with scaled gain and efficiency."""
-    alpha = detection_efficiency(chain) * efficiency_scale
-    rho = escape_efficiency(cavity)
-    x = 1.0 - 1.0 / math.sqrt(gain_scale * pump.parametric_gain)
-    omega = spectral_point(cavity, F0).detuning_parameter
-    levels = min_max_levels(alpha, rho, x, omega)
-    clearance = chain.circuit_noise_clearance_db
-    return VarianceLevels.from_db(
-        float(apply_circuit_noise(levels.s_min, clearance)),
-        float(apply_circuit_noise(levels.s_max, clearance)),
-    )
+def _forward_levels(cavity, chain, pump, gain_scale, efficiency_scale, frequency_hz=F0):
+    """Observed-level pair predicted with scaled gain and efficiency."""
+    scaled = replace(chain, propagation_efficiency=chain.propagation_efficiency * efficiency_scale)
+    gain = PumpSpec(parametric_gain=pump.parametric_gain * gain_scale)
+    return predict_levels(cavity, scaled, gain, frequency_hz, include_circuit_noise=True)
 
 
 class TestLossOnly:
@@ -212,10 +184,7 @@ class TestLossOnly:
 
     def test_bisection_oracle_agreement(self, cavity, chain, pump_gain):
         report = loss_only_explanation_check(MEASURED, cavity, chain, pump_gain, F0)
-        alpha = detection_efficiency(chain)
-        rho = escape_efficiency(cavity)
-        x = pump_parameter(pump_gain, threshold_power(cavity))
-        omega = spectral_point(cavity, F0).detuning_parameter
+        alpha, rho, x, omega = operating_point(cavity, chain, pump_gain, F0)
         clearance = chain.circuit_noise_clearance_db
 
         def smin_residual(e):
@@ -242,7 +211,7 @@ class TestLossOnly:
 def _assert_boundary_optimum(measured, cavity, chain, pump):
     """No in-box root: the result is an edge point no worse than the grid oracle."""
     result = reconcile_discrepancy(measured, cavity, chain, pump, F0)
-    _, _, r_grid = _grid_search_oracle(measured, cavity, chain, pump.parametric_gain)
+    _, _, r_grid = grid_search_oracle(measured, cavity, chain, pump.parametric_gain)
     assert result.residual_db <= r_grid + 1e-9
     assert not result.exact_match
     assert min(abs(result.gain_scale - 0.5), abs(result.gain_scale - 1.5),
@@ -306,42 +275,6 @@ class TestLossOnlyDomain:
             loss_only_explanation_check(above, cavity, chain, pump_gain, F0)
 
 
-def _edge_minimum(misfit, lo, hi):
-    """Argmin of misfit(t) over [lo, hi] for one edge on its own: a 65-point
-    grid, narrowed five times around its best point."""
-    for _ in range(5):
-        t = np.linspace(lo, hi, 65)
-        i = int(np.argmin(misfit(t)))
-        lo, hi = t[max(i - 1, 0)], t[min(i + 1, 64)]
-    return float(t[i])
-
-
-def _sequential_edge_oracle(measured, cavity, chain, pump, frequency_hz=F0):
-    """Box-edge reconciliation with the four edges scanned one after another,
-    each by its own 1-D scan, and the winner picked by re-evaluating the misfit."""
-    gain = pump.parametric_gain
-    alpha, rho, _, omega_norm = operating_point(cavity, chain, pump, frequency_hz)
-    clearance = chain.circuit_noise_clearance_db
-
-    def misfit(g, e):
-        lo_db, hi_db = _scaled_prediction_db(g, e, gain, alpha, rho, omega_norm, clearance)
-        return np.hypot(lo_db - measured.s_min_db, hi_db - measured.s_max_db)
-
-    eps = 1e-7
-    g_lo, g_hi = GAIN_SCALE_BOX[0] + eps, GAIN_SCALE_BOX[1] - eps
-    e_lo, e_hi = EFFICIENCY_SCALE_BOX[0] + eps, EFFICIENCY_SCALE_BOX[1]
-    edges = [(fixed, _edge_minimum(lambda t: misfit(fixed, t), e_lo, e_hi))
-             for fixed in (g_lo, g_hi)]
-    edges += [(_edge_minimum(lambda t: misfit(t, fixed), g_lo, g_hi), fixed)
-              for fixed in (e_lo, e_hi)]
-    g, e = min(edges, key=lambda point: misfit(*point))
-    norm = float(misfit(g, e))
-    return ReconcileResult(gain_scale=float(g), efficiency_scale=min(float(e), e_hi),
-                           residual_db=norm, amplitude_gain_scale=math.sqrt(g),
-                           corrected_gain=float(g * gain), iterations=0,
-                           exact_match=norm < 1e-6)
-
-
 def _per_pump_sweep_oracle(cavity, chain, pumps, measured=None):
     """sweep_pump rows built with one full predict_levels call per pump."""
     p_th = threshold_power(cavity)
@@ -373,65 +306,85 @@ def _per_pump_sweep_oracle(cavity, chain, pumps, measured=None):
             for i, r in enumerate(rows)]
 
 
+def _assert_matches_oracle(measured, cavity, chain, pump, frequency_hz=F0):
+    """reconcile_discrepancy against the closed form where the pair has a root
+    in the box and against the sequential edge scan where it has none, bit
+    for bit; returns whether the result is an exact match."""
+    result = reconcile_discrepancy(measured, cavity, chain, pump, frequency_hz)
+    oracle = (closed_form_reconcile(measured, cavity, chain, pump, frequency_hz)
+              or sequential_edge_reconcile(measured, cavity, chain, pump, frequency_hz))
+    assert repr(result) == repr(oracle)
+    return result.exact_match
+
+
 class TestBatchedEdgeScanEquivalence:
     """The one-array-per-round scan of all four edges reproduces the four
-    sequential per-edge scans bit for bit."""
+    sequential per-edge scans bit for bit, and an in-box root the closed form."""
 
     def test_seeded_out_of_box_pairs(self, cavity, chain):
-        rng = np.random.default_rng(8)
-        compared = 0
-        for _ in range(240):
-            measured = VarianceLevels.from_db(rng.uniform(-14.0, 1.0), rng.uniform(-1.0, 20.0))
-            pump = PumpSpec(parametric_gain=float(rng.uniform(1.0, 12.0)))
-            result = reconcile_discrepancy(measured, cavity, chain, pump, F0)
-            if result.exact_match:
-                continue  # an in-box root: no edge scan
-            assert repr(result) == repr(_sequential_edge_oracle(measured, cavity, chain, pump))
-            compared += 1
-        assert compared >= 200
+        assert _seeded_edge_points(cavity, chain, F0, 8, 240, -14.0) >= 200
+
+    def test_seeded_in_box_and_out_of_box_pairs(self, cavity, chain):
+        rng = np.random.default_rng(2006)
+        exact = 0
+        for _ in range(200):
+            measured = VarianceLevels.from_db(rng.uniform(-8.0, 0.5), rng.uniform(-0.5, 16.0))
+            pump = PumpSpec(parametric_gain=float(rng.uniform(1.5, 10.0)))
+            exact += _assert_matches_oracle(measured, cavity, chain, pump)
+        assert 20 <= exact <= 180  # both branches are exercised
 
     @pytest.mark.parametrize("pair_db", [(-0.5, 14.0), (-2.0, 0.0)])
     def test_probe_pairs(self, cavity, chain, pump_gain, pair_db):
-        measured = VarianceLevels.from_db(*pair_db)
-        result = reconcile_discrepancy(measured, cavity, chain, pump_gain, F0)
-        assert repr(result) == repr(_sequential_edge_oracle(measured, cavity, chain, pump_gain))
+        assert not _assert_matches_oracle(VarianceLevels.from_db(*pair_db), cavity, chain,
+                                          pump_gain)
 
     @pytest.mark.parametrize("clearance_db", [10.0, 20.0])
     @pytest.mark.parametrize("frequency_hz", [0.5e6, 3e6])
     def test_other_clearances_and_frequencies(self, cavity, chain, clearance_db, frequency_hz):
         chain = replace(chain, circuit_noise_clearance_db=clearance_db)
-        _assert_out_of_box_pairs_match_sequential(cavity, chain, frequency_hz, 9)
+        assert _seeded_edge_points(cavity, chain, frequency_hz, 9, 60, 0.5 - clearance_db) >= 40
+        _assert_half_predicted_pairs_match(cavity, chain, frequency_hz, 2021)
 
     @pytest.mark.parametrize("pair_db", [(0.0, 0.0), (-0.05, 0.05), (0.02, -0.02)])
     def test_gain_clamped_to_unity_on_the_low_gain_edge(self, cavity, chain, pair_db):
         # at G = 1.2 the g < 1/G part of the gain edges has g*G < 1, clamped to x = 0
-        measured, pump = VarianceLevels.from_db(*pair_db), PumpSpec(parametric_gain=1.2)
-        result = reconcile_discrepancy(measured, cavity, chain, pump, F0)
-        assert repr(result) == repr(_sequential_edge_oracle(measured, cavity, chain, pump))
+        _assert_matches_oracle(VarianceLevels.from_db(*pair_db), cavity, chain,
+                               PumpSpec(parametric_gain=1.2))
 
     def test_a_chain_other_than_the_fixture(self, cavity):
         chain = DetectionChain(quantum_efficiency=0.85, visibility=0.97,
                                propagation_efficiency=0.9, circuit_noise_clearance_db=17.0)
-        _assert_out_of_box_pairs_match_sequential(cavity, chain, F0, 10)
+        assert _seeded_edge_points(cavity, chain, F0, 10, 60, 0.5 - 17.0) >= 40
+        _assert_half_predicted_pairs_match(cavity, chain, F0, 2022)
 
 
-def _assert_out_of_box_pairs_match_sequential(cavity, chain, frequency_hz, seed):
-    """The edge scan against the sequential oracle on the out-of-box pairs
-    among 60 seeded ones, each squeezing level above the chain's floor."""
+def _seeded_edge_points(cavity, chain, frequency_hz, seed, pairs, lowest_db):
+    """_assert_matches_oracle on seeded pairs, each squeezing level drawn from
+    lowest_db up to 1 dB; returns how many of them lie out of the box."""
     rng = np.random.default_rng(seed)
-    clearance = chain.circuit_noise_clearance_db
-    compared = 0
-    for _ in range(60):
-        measured = VarianceLevels.from_db(rng.uniform(0.5 - clearance, 1.0),
-                                          rng.uniform(-1.0, 20.0))
+    edge_points = 0
+    for _ in range(pairs):
+        measured = VarianceLevels.from_db(rng.uniform(lowest_db, 1.0), rng.uniform(-1.0, 20.0))
         pump = PumpSpec(parametric_gain=float(rng.uniform(1.0, 12.0)))
-        result = reconcile_discrepancy(measured, cavity, chain, pump, frequency_hz)
-        if result.exact_match:
-            continue  # an in-box root: no edge scan
-        oracle = _sequential_edge_oracle(measured, cavity, chain, pump, frequency_hz)
-        assert repr(result) == repr(oracle)
-        compared += 1
-    assert compared >= 40
+        edge_points += not _assert_matches_oracle(measured, cavity, chain, pump, frequency_hz)
+    return edge_points
+
+
+def _assert_half_predicted_pairs_match(cavity, chain, frequency_hz, seed):
+    """_assert_matches_oracle on 100 seeded pairs: every other pair is
+    predicted from gain and efficiency scales drawn around the box, so both
+    branches are exercised at any frequency."""
+    rng = np.random.default_rng(seed)
+    exact = 0
+    for k in range(100):
+        pump = PumpSpec(parametric_gain=float(rng.uniform(1.5, 10.0)))
+        if k % 2:
+            measured = VarianceLevels.from_db(rng.uniform(-8.0, 0.5), rng.uniform(-0.5, 16.0))
+        else:  # the efficiency scale is drawn first
+            e = rng.uniform(0.2, 1.0)
+            measured = _forward_levels(cavity, chain, pump, rng.uniform(0.7, 1.7), e, frequency_hz)
+        exact += _assert_matches_oracle(measured, cavity, chain, pump, frequency_hz)
+    assert 10 <= exact <= 90
 
 
 @st.composite
@@ -474,7 +427,7 @@ class TestReconcileDomain:
 @st.composite
 def _accepted_inputs(draw):
     """Any cavity, chain and pump the types accept, any finite analysis
-    frequency > 0 and any level pair from_db can represent."""
+    frequency > 0 and any pair of finite levels."""
     positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
     unit = st.floats(0.0, 1.0, exclude_min=True)
     transmittance = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
@@ -488,7 +441,7 @@ def _accepted_inputs(draw):
                               st.builds(PumpSpec, pump_power=st.floats(0.0))))
     except ParameterDomainError:
         reject()
-    level = st.floats(-3000.0, 3000.0)
+    level = st.floats(allow_nan=False, allow_infinity=False)
     measured = VarianceLevels.from_db(draw(level), draw(level))
     return measured, cavity, chain, pump, draw(positive)
 
@@ -562,6 +515,14 @@ class TestAcceptedInputDomain:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ParameterDomainError, match="at threshold to double precision"):
                 reconcile_discrepancy(MEASURED, cavity, chain, PumpSpec(parametric_gain=gain), F0)
+
+
+    def test_a_gain_at_threshold_at_the_top_of_the_box_is_a_domain_error(self, cavity, chain):
+        # PumpSpec takes G = 2.5e32 (x < 1 up to G = 2**108 ~ 3.2e32), 1.5*G is past it
+        pump = PumpSpec(parametric_gain=2.5e32)
+        with pytest.raises(ParameterDomainError, match=r"^parametric gain 2.5e\+32 scaled by 1.5 "
+                                                       "is at threshold to double precision$"):
+            reconcile_discrepancy(MEASURED, cavity, chain, pump, F0)
 
 
 def _outcome(sweep, *args):

@@ -372,6 +372,15 @@ class TestMalformedInputs:
         assert out == ""
         assert err == "error: measured pump power must be finite and >= 0, got -0.005 W\n"
 
+    def test_a_measured_level_whose_variance_overflows_is_an_error(self, capsys, config_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            code, out, err = run_cli(capsys, "reconcile", "--config", str(config_path),
+                                     "--measured", "-2.75,4000", "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert err == "error: observed level 4000.0 dB overflows as a linear variance\n"
+
 
 class TestNonFiniteInputs:
     def test_measured_csv_nan_rejected(self, capsys, config_path, tmp_path):

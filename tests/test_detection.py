@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqzlab import (
-    AcquisitionSettings,
     DetectionChain,
     NoiseTrace,
     ParameterDomainError,
@@ -22,6 +21,8 @@ from sqzlab import (
     synthesize_trace,
 )
 from sqzlab.detection import circuit_noise_floor
+
+from conftest import bench_acq
 
 ALPHA, RHO, X, OMEGA = 0.819819, 0.8525149190110828, 0.5656277572369306, 0.10720434894893513
 
@@ -169,27 +170,20 @@ class TestJitterAveraging:
         assert np.all(np.diff(at_max) < 0.0)
 
 
-def _acq(samples=401, sweep=0.2, period=0.2, jitter=0.0, rbw=1e5, vbw=30.0):
-    return AcquisitionSettings(center_frequency=1e6, resolution_bandwidth=rbw,
-                               video_bandwidth=vbw, sweep_duration=sweep,
-                               sample_count=samples,
-                               lo_scan=PhaseScan(period=period, theta0=0.0, jitter_sigma=jitter))
-
-
 class TestAcquisitionSettings:
     def test_estimator_dof_bench_settings(self):
-        assert _acq().estimator_dof == 6667
+        assert bench_acq().estimator_dof == 6667
 
     def test_estimator_dof_floor(self):
-        assert _acq(rbw=100.0, vbw=100.0).estimator_dof == 2
+        assert bench_acq(rbw=100.0, vbw=100.0).estimator_dof == 2
 
     def test_vbw_cannot_exceed_rbw(self):
         with pytest.raises(ParameterDomainError):
-            _acq(rbw=100.0, vbw=200.0)
+            bench_acq(rbw=100.0, vbw=200.0)
 
     def test_sample_count_minimum(self):
         with pytest.raises(ParameterDomainError):
-            _acq(samples=1)
+            bench_acq(samples=1)
 
 
 _INTP_MAX = int(np.iinfo(np.intp).max)
@@ -226,10 +220,10 @@ class TestValueDomains:
     ])
     def test_acquisition_settings(self, fields, message):
         with pytest.raises(ParameterDomainError, match=message):
-            replace(_acq(), **fields)
+            replace(bench_acq(), **fields)
 
     def test_largest_indexable_count_accepted(self):
-        assert replace(_acq(), sample_count=_INTP_MAX).sample_count == _INTP_MAX
+        assert replace(bench_acq(), sample_count=_INTP_MAX).sample_count == _INTP_MAX
 
     # 8 bytes per time: 8e17 bytes and more exceed the 57-bit virtual address
     # space of any 64-bit CPU, so no overcommit can grant them
@@ -237,7 +231,7 @@ class TestValueDomains:
     def test_count_numpy_cannot_allocate_is_a_domain_error(self, count):
         with pytest.raises(ParameterDomainError,
                            match=rf"^sample_count {count} is more float64 times than numpy can allocate"):
-            replace(_acq(), sample_count=count).times
+            replace(bench_acq(), sample_count=count).times
 
     @pytest.mark.parametrize("times, powers, shot_reference_db, message", [
         ([0.0, 0.1, 0.2], [1.0, 2.0], 0.0, r"^times and powers_db must be 1-D arrays of equal length$"),
@@ -247,28 +241,29 @@ class TestValueDomains:
     ])
     def test_noise_trace(self, times, powers, shot_reference_db, message):
         with pytest.raises(ParameterDomainError, match=message):
-            NoiseTrace(np.array(times), np.array(powers), _acq(samples=3), shot_reference_db)
+            NoiseTrace(np.array(times), np.array(powers), bench_acq(samples=3), shot_reference_db)
 
 
 class TestSynthesis:
     def test_deterministic_for_seed(self, chain):
-        a = synthesize_trace(ALPHA, RHO, X, OMEGA, chain, _acq(), 123)
-        b = synthesize_trace(ALPHA, RHO, X, OMEGA, chain, _acq(), 123)
+        a = synthesize_trace(ALPHA, RHO, X, OMEGA, chain, bench_acq(), 123)
+        b = synthesize_trace(ALPHA, RHO, X, OMEGA, chain, bench_acq(), 123)
         assert np.array_equal(a.powers_db, b.powers_db)
         assert np.array_equal(a.times, b.times)
 
     def test_seeds_differ(self, chain):
-        a = synthesize_trace(ALPHA, RHO, X, OMEGA, chain, _acq(), 123)
-        b = synthesize_trace(ALPHA, RHO, X, OMEGA, chain, _acq(), 124)
+        a = synthesize_trace(ALPHA, RHO, X, OMEGA, chain, bench_acq(), 123)
+        b = synthesize_trace(ALPHA, RHO, X, OMEGA, chain, bench_acq(), 124)
         assert not np.array_equal(a.powers_db, b.powers_db)
 
     def test_shot_only_trace_is_centred_on_zero_db(self, chain):
-        trace = synthesize_trace(ALPHA, RHO, 0.0, OMEGA, chain, _acq(samples=10_000, sweep=2.0), 7)
+        acq = bench_acq(samples=10_000, sweep=2.0)
+        trace = synthesize_trace(ALPHA, RHO, 0.0, OMEGA, chain, acq, 7)
         assert abs(float(np.mean(trace.powers_db))) < 0.05
 
     def test_high_scatter_mean_matches_phase_average(self, chain):
         # VBW = RBW -> 2 degrees of freedom, exponential scatter
-        acq = _acq(samples=50_000, sweep=5.0, period=0.25, rbw=1e5, vbw=1e5)
+        acq = bench_acq(samples=50_000, sweep=5.0, period=0.25, rbw=1e5, vbw=1e5)
         trace = synthesize_trace(ALPHA, RHO, X, OMEGA, chain, acq, 99)
         linear = 10.0 ** (trace.powers_db / 10.0)
         n = circuit_noise_floor(chain.circuit_noise_clearance_db)
@@ -278,7 +273,7 @@ class TestSynthesis:
 
     def test_per_sample_scatter_matches_dof(self, chain):
         # relative SD of one sample is sqrt(2/k); k = 6667 at the bench settings
-        acq = _acq(samples=20_000, sweep=2.0)
+        acq = bench_acq(samples=20_000, sweep=2.0)
         trace = synthesize_trace(ALPHA, RHO, 0.0, OMEGA, chain, acq, 11)
         linear = 10.0 ** (trace.powers_db / 10.0)
         rel_sd = float(np.std(linear) / np.mean(linear))
@@ -294,14 +289,14 @@ class TestSynthesis:
             mean_db = 10.0 * np.log10((s + n) / (1.0 + n))
             return float(np.std(trace.powers_db - mean_db))
 
-        smooth = synthesize_trace(ALPHA, RHO, X, OMEGA, chain, _acq(), 5)
-        jittered = synthesize_trace(ALPHA, RHO, X, OMEGA, chain, _acq(jitter=0.15), 5)
+        smooth = synthesize_trace(ALPHA, RHO, X, OMEGA, chain, bench_acq(), 5)
+        jittered = synthesize_trace(ALPHA, RHO, X, OMEGA, chain, bench_acq(jitter=0.15), 5)
         assert residual_std(jittered) > 3 * residual_std(smooth)
 
     def test_shot_reference(self, chain):
-        ref1 = synthesize_shot_reference(_acq(samples=10_000, sweep=1.0), chain, 21)
-        ref2 = synthesize_shot_reference(_acq(samples=10_000, sweep=1.0), chain, 21)
-        ref3 = synthesize_shot_reference(_acq(samples=10_000, sweep=1.0), chain, 22)
+        ref1 = synthesize_shot_reference(bench_acq(samples=10_000, sweep=1.0), chain, 21)
+        ref2 = synthesize_shot_reference(bench_acq(samples=10_000, sweep=1.0), chain, 21)
+        ref3 = synthesize_shot_reference(bench_acq(samples=10_000, sweep=1.0), chain, 22)
         assert np.array_equal(ref1.powers_db, ref2.powers_db)
         assert not np.array_equal(ref1.powers_db, ref3.powers_db)
         assert abs(float(np.mean(ref1.powers_db))) < 0.05

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 from sqzlab import (
-    AcquisitionSettings,
     DetectionChain,
     FitModel,
     NoiseTrace,
     ParameterDomainError,
-    PhaseScan,
     fit_trace,
     initial_guess,
     load_config,
@@ -27,16 +25,11 @@ from sqzlab import (
 from sqzlab import fitting
 from sqzlab.fitting import _damped_solve, _model_and_jacobian
 
+from conftest import bench_acq
+
 ALPHA, RHO, X, OMEGA = 0.819819, 0.8525149190110828, 0.5656277572369306, 0.10720434894893513
 CLEARANCE = 14.0
 TRUTH = min_max_levels(ALPHA, RHO, X, OMEGA)
-
-
-def _acq(samples=401, sweep=0.2, period=0.2, jitter=0.0):
-    return AcquisitionSettings(center_frequency=1e6, resolution_bandwidth=1e5,
-                               video_bandwidth=30.0, sweep_duration=sweep,
-                               sample_count=samples,
-                               lo_scan=PhaseScan(period=period, theta0=0.0, jitter_sigma=jitter))
 
 
 def _chain():
@@ -44,7 +37,8 @@ def _chain():
 
 
 def _synth(seed, jitter=0.0, x=X, samples=401):
-    return synthesize_trace(ALPHA, RHO, x, OMEGA, _chain(), _acq(samples=samples, jitter=jitter), seed)
+    acq = bench_acq(samples=samples, jitter=jitter)
+    return synthesize_trace(ALPHA, RHO, x, OMEGA, _chain(), acq, seed)
 
 
 def _perturbed_guess(jitter=0.0):
@@ -260,7 +254,7 @@ class TestExactJitterSeries:
         # x = 0.7 at 20 dB clearance and sigma = 0.5: a deep dip under strong
         # jitter, where any error in the average biases the levels without noise
         truth = min_max_levels(ALPHA, RHO, 0.7, OMEGA)
-        acq = _acq(jitter=0.5)
+        acq = bench_acq(jitter=0.5)
         p = np.array([truth.s_min_db, truth.s_max_db, 0.0, acq.lo_scan.rate])
         mean = _trapezoid_jitter_average(p, acq.times, 0.01, 0.5, points=4001)
         guess = FitModel(s_min_db=truth.s_min_db + 0.3, s_max_db=truth.s_max_db - 0.3,
@@ -276,7 +270,7 @@ class TestExactJitterSeries:
         chain = DetectionChain(0.99, 0.91, 1.0, 20.0)
         errors, sigmas = [], []
         for seed in range(20):
-            trace = synthesize_trace(ALPHA, RHO, 0.7, OMEGA, chain, _acq(jitter=0.5), seed)
+            trace = synthesize_trace(ALPHA, RHO, 0.7, OMEGA, chain, bench_acq(jitter=0.5), seed)
             result = fit_trace(trace, initial_guess(trace, clearance_db=20.0, jitter_sigma=0.5))
             assert result.converged
             errors.append((result.levels.s_min_db - truth.s_min_db,
@@ -306,17 +300,19 @@ class TestStartModelDomain:
             fit_trace(trace, guess)
 
     def test_overflowing_sample_rejected_by_the_start(self):
-        # 1e300 dB is finite, so the trace holds it, but 10^(y/10) overflows
+        # 1e300 dB is finite, so the trace holds it, but 10^(y/10) overflows; at
+        # 3082.5 dB 10^(y/10) is finite, its product with 1 + n (n = 0.04) is not
         trace = _synth(seed=347)
-        powers = trace.powers_db.copy()
-        powers[7] = 1e300
-        trace = replace(trace, powers_db=powers)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ParameterDomainError, match="sample of 1e\\+300 dB overflows"):
-                initial_guess(trace, clearance_db=CLEARANCE)
-            with pytest.raises(ParameterDomainError, match="sample of 1e\\+300 dB overflows"):
-                fit_trace(trace)
+        for sample, shown in ((1e300, "1e\\+300"), (3082.5, "3082.5")):
+            powers = trace.powers_db.copy()
+            powers[7] = sample
+            bad = replace(trace, powers_db=powers)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ParameterDomainError, match=f"sample of {shown} dB overflows"):
+                    initial_guess(bad, clearance_db=CLEARANCE)
+                with pytest.raises(ParameterDomainError, match=f"sample of {shown} dB overflows"):
+                    fit_trace(bad)
 
     def test_overflowing_start_ssr_rejected(self, config_path):
         # 1e160 dB is a finite residual, but its square overflows the SSR
@@ -355,14 +351,9 @@ class TestStartModelDomain:
             fit_trace(trace, replace(_perturbed_guess(), clearance_db=clearance))
 
 
-def _acq_k20(jitter=0.0):
-    """Bundled RBW with VBW 10 kHz: estimator dof k = 20."""
-    return replace(_acq(jitter=jitter), video_bandwidth=1e4)
-
-
 def _mean_trace(sigma, theta0, sweep):
     """Noise-free trace of the jitter-averaged mean power at the TRUTH levels."""
-    acq = _acq(sweep=sweep, jitter=sigma)
+    acq = bench_acq(sweep=sweep, jitter=sigma)
     a, b = 0.5 * (TRUTH.s_max + TRUTH.s_min), 0.5 * (TRUTH.s_max - TRUTH.s_min)
     s = a + b * math.exp(-2.0 * sigma * sigma) * np.cos(2.0 * (theta0 + acq.lo_scan.rate * acq.times))
     floor = 10.0 ** (-CLEARANCE / 10.0)
@@ -390,8 +381,10 @@ class TestClosedFormGuess:
         assert guess.s_min_db == pytest.approx(10.0 * math.log10(0.01 * a), abs=1e-9)
         assert guess.s_max_db > TRUTH.s_max_db
 
-    @pytest.mark.parametrize("jitter, acq", [(0.12, _acq(jitter=0.12)), (0.0, _acq_k20()),
-                                             (0.12, _acq_k20(jitter=0.12))])
+    # VBW 10 kHz: estimator dof k = 20
+    @pytest.mark.parametrize("jitter, acq", [(0.12, bench_acq(jitter=0.12)),
+                                             (0.0, bench_acq(vbw=1e4)),
+                                             (0.12, bench_acq(jitter=0.12, vbw=1e4))])
     def test_auto_guess_reaches_the_perturbed_optimum(self, jitter, acq):
         for seed in (350, 351, 352):
             trace = synthesize_trace(ALPHA, RHO, X, OMEGA, _chain(), acq, seed)
@@ -405,10 +398,11 @@ class TestClosedFormGuess:
     @pytest.mark.parametrize("jitter", [0.05, 0.12])
     def test_strong_pump_k20_fits_without_runtime_warnings(self, jitter):
         # with a -40 dB s_min start, seeds 16 and 43 at sigma = 0.12 overflowed in LM trials
+        acq = bench_acq(jitter=jitter, vbw=1e4)  # k = 20
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for seed in range(50):
-                trace = synthesize_trace(ALPHA, RHO, 0.7, OMEGA, _chain(), _acq_k20(jitter), seed)
+                trace = synthesize_trace(ALPHA, RHO, 0.7, OMEGA, _chain(), acq, seed)
                 result = fit_trace(trace, initial_guess(trace, clearance_db=CLEARANCE,
                                                         jitter_sigma=jitter))
                 assert result.converged
@@ -416,7 +410,7 @@ class TestClosedFormGuess:
     @pytest.mark.parametrize("trace, jitter", [
         (_synth(seed=360, x=0.0), 0.0),                      # flat shot-noise trace
         (_synth(seed=361, jitter=1.0), 1.0),                 # strong jitter
-        (NoiseTrace(_acq().times, np.full(401, -30.0), _acq()), 0.0),  # below the floor
+        (NoiseTrace(bench_acq().times, np.full(401, -30.0), bench_acq()), 0.0),  # below the floor
     ])
     def test_degenerate_traces_give_finite_guesses(self, trace, jitter):
         guess = initial_guess(trace, clearance_db=CLEARANCE, jitter_sigma=jitter)
@@ -719,7 +713,7 @@ class TestNormalEquationStart:
             fit_trace(trace)
 
     def test_fewer_samples_than_regressors_rejected(self):
-        acq = _acq(samples=2)
+        acq = bench_acq(samples=2)
         with pytest.raises(ParameterDomainError, match=r"^need at least 3 samples .*, got 2$"):
             initial_guess(NoiseTrace(acq.times, np.zeros(2), acq), clearance_db=CLEARANCE)
 

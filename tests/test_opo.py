@@ -10,6 +10,7 @@ from sqzlab import (
     CavityParams,
     ParameterDomainError,
     PumpSpec,
+    SpectralPoint,
     cavity_decay_rate,
     detuning_parameter,
     escape_efficiency,
@@ -98,6 +99,12 @@ class TestDetuning:
     def test_rejects_non_finite(self, cavity, omega):
         with pytest.raises(ParameterDomainError, match="must be finite and > 0"):
             detuning_parameter(cavity, omega)
+
+    @pytest.mark.parametrize("value", [-0.1, math.nan], ids=["-0.1", "nan"])
+    def test_spectral_point_rejects_a_negative_or_nan_detuning(self, value):
+        with pytest.raises(ParameterDomainError,
+                           match=rf"^detuning_parameter must be >= 0, got {value}$"):
+            SpectralPoint(value)
 
     def test_detuning_whose_square_overflows_rejected(self):
         # W = omega/gamma ~ 2e159 for a 1e160 m cavity: 4*W^2 overflows
