@@ -35,8 +35,8 @@ fixed, known value.
 The start needs no search: in linear power the mean trace is linear in
 (A, B*cos 2*theta0, B*sin 2*theta0) at the known scan rate (the separable
 structure of Golub & Pereyra, 1973), so initial_guess is one regression,
-solved as 3x3 normal equations by an unrolled Cholesky on Python floats and
-refined once on its residual (iterative refinement, Bjorck 1996).  A sweep
+solved as 3x3 normal equations by the LM's unrolled Cholesky on Python floats
+and refined once on its residual (iterative refinement, Bjorck 1996).  A sweep
 over too little phase to separate 1, cos and sin is rejected, not fitted.
 """
 
@@ -193,35 +193,36 @@ def _model_and_jacobian(p: np.ndarray, t: np.ndarray, floor: float, jitter: floa
     return model, jt.T
 
 
-def _damped_solve(h, g, lam):
+def _damped_solve(h, g, lam, rtol=0.0):
     """Solve (H + lam*I) u = -g by an unrolled Cholesky factorization L L^T.
 
     h holds the lower triangle of the symmetric 4x4 H by rows, (h00, h10,
     h11, h20, h21, h22, h30, h31, h32, h33); g has 4 entries.  Returns
     (u, drop) with drop = lam*|u|^2 - g.u = lam*|u|^2 + |z|^2, z = L^-1 (-g),
     the SSR drop that the Gauss-Newton model predicts for u, or None when a
-    pivot is not positive (H + lam*I indefinite to rounding).  A NaN pivot
-    is not caught: NaN then reaches u and the drop."""
+    pivot is at or below rtol times its diagonal entry h_ii (rtol = 0: not
+    positive, H + lam*I indefinite to rounding).  A NaN pivot passes, as does
+    any at rtol = 0 whose h_ii is infinite (0*inf is NaN)."""
     h00, h10, h11, h20, h21, h22, h30, h31, h32, h33 = h
     g0, g1, g2, g3 = g
     d = h00 + lam
-    if d <= 0.0:
+    if d <= rtol * h00:
         return None
     l00 = math.sqrt(d)
     l10, l20, l30 = h10 / l00, h20 / l00, h30 / l00
     d = h11 + lam - l10 * l10
-    if d <= 0.0:
+    if d <= rtol * h11:
         return None
     l11 = math.sqrt(d)
     l21 = (h21 - l20 * l10) / l11
     l31 = (h31 - l30 * l10) / l11
     d = h22 + lam - l20 * l20 - l21 * l21
-    if d <= 0.0:
+    if d <= rtol * h22:
         return None
     l22 = math.sqrt(d)
     l32 = (h32 - l30 * l20 - l31 * l21) / l22
     d = h33 + lam - l30 * l30 - l31 * l31 - l32 * l32
-    if d <= 0.0:
+    if d <= rtol * h33:
         return None
     l33 = math.sqrt(d)
     z0 = -g0 / l00
@@ -327,15 +328,18 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     2*rate*t, with the rate the trace's recorded LO scan rate; their mean is
     A + B*exp(-2*sigma^2)*cos(2*theta0 + 2*rate*t).
     s_min starts no lower than A/100: far below, its Jacobian column vanishes
-    and LM trial steps overflow.  A jitter so wide that exp(-2*sigma^2)
-    underflows to 0 leaves no modulation and raises ParameterDomainError, as
-    do a clearance that is not finite and > 0 dB and a sample too large for
-    its linear power to be finite (above about 3082 dB).  The regression
-    solves (D D^T) c = D s for the (3, N) design D of rows [1, cos, sin] by
-    Cholesky, then once more for the residual's correction; fewer than 3
+    and LM trial steps overflow.  ParameterDomainError is raised for a
+    jitter_sigma not finite and >= 0 or so wide that exp(-2*sigma^2)
+    underflows to 0 (no modulation left), a clearance not finite and > 0 dB,
+    and a sample whose linear power overflows (above about 3082 dB).  The
+    regression solves (D D^T) c = D s for the (3, N) design D of rows
+    [1, cos, sin] by _damped_solve at lam = 0, padded to 4x4 by a unit
+    pivot, then once more for the residual's correction; fewer than 3
     samples, or a pivot at or below _PIVOT_RTOL of its diagonal entry (a
     sweep over too little phase to separate the rows, e.g. 10 us at a 0.2 s
     period), raise ParameterDomainError."""
+    if not 0.0 <= jitter_sigma < math.inf:
+        raise ParameterDomainError(f"jitter_sigma must be finite and >= 0, got {jitter_sigma}")
     contrast = math.exp(-2.0 * jitter_sigma * jitter_sigma)
     if contrast == 0.0:
         raise ParameterDomainError(
@@ -357,31 +361,19 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
             f"the trace sample of {trace.powers_db.max()} dB overflows as a linear power, "
             "so the levels cannot be fitted")
     (h00, h01, h02), (_, h11, h12), (_, _, h22) = (design @ design.T).tolist()
-    l00 = math.sqrt(h00)  # h00 = N >= 3
-    l10, l20 = h01 / l00, h02 / l00
-    p1 = h11 - l10 * l10
-    l11 = math.sqrt(p1) if p1 > _PIVOT_RTOL * h11 else math.nan  # NaN fails the test below
-    l21 = (h12 - l20 * l10) / l11
-    p2 = h22 - l20 * l20 - l21 * l21
-    if not p2 > _PIVOT_RTOL * h22:
+    h = (h00, h01, h11, h02, h12, h22, 0.0, 0.0, 0.0, 1.0)
+    g0, g1, g2 = (design @ s).tolist()
+    solved = _damped_solve(h, (-g0, -g1, -g2, 0.0), 0.0, _PIVOT_RTOL)
+    if solved is None or math.isnan(h11):  # a phase that overflows passes as NaN pivots
         span = 2.0 * rate * (trace.times[-1] - trace.times[0])
         raise ParameterDomainError(
             f"the trace sweeps {span:.3g} rad of 2*theta, too little to separate the mean "
             "level from the phase modulation, so the levels cannot be fitted")
-    l22 = math.sqrt(p2)
-
-    def solve(g):  # L L^T c = D g by forward and back substitution
-        g0, g1, g2 = (design @ g).tolist()
-        z0 = g0 / l00
-        z1 = (g1 - l10 * z0) / l11
-        z2 = (g2 - l20 * z0 - l21 * z1) / l22
-        c2 = z2 / l22
-        c1 = (z1 - l21 * c2) / l11
-        return (z0 - l10 * c1 - l20 * c2) / l00, c1, c2
-
-    c = solve(s)
-    a, bc, bs = (ci + di for ci, di in zip(c, solve(s - np.dot(c, design))))
-    a = max(a, floor)
+    c = solved[0][:3]
+    g0, g1, g2 = (design @ (s - np.dot(c, design))).tolist()
+    (d0, d1, d2, _), _ = _damped_solve(h, (-g0, -g1, -g2, 0.0), 0.0, _PIVOT_RTOL)
+    a = max(c[0] + d0, floor)
+    bc, bs = c[1] + d1, c[2] + d2
     b = math.hypot(bc, bs) / contrast
     lo, hi = max(a - b, _MIN_START_FRACTION * a), a + b
     theta0 = 0.5 * math.atan2(-bs, bc) % math.pi  # a tiny negative angle rounds up to pi

@@ -9,8 +9,9 @@ reproduces the trace bit for bit.
 The header is stated once, in _ACQUISITION_HEADER and _SCAN_HEADER (key ->
 constructor field and type, in file order), which serialize_trace and
 parse_trace both walk; the shot-noise reference level and then the metadata,
-in key order, follow them.  The reader checks the format only: the types it
-builds own each value's domain, finiteness included.
+in key order, follow them.  A key may appear once; the reader refuses a
+repeated one.  The reader checks the format only: the types it builds own
+each value's domain, finiteness included.
 
 Both directions run at array speed on the files this module writes.
 serialize_trace formats the whole data block in one pass of ``repr`` and
@@ -178,6 +179,8 @@ def _read_lines(text: str):
                     continue
                 raise TraceFormatError(f"line {lineno}: expected 'key=value' in header comment")
             key, value = _header_item(body)
+            if key in header:
+                raise TraceFormatError(f"line {lineno}: duplicate header key '{key}'")
             header[key] = value
             continue
         if line == _COLUMNS:

@@ -1,9 +1,11 @@
-"""The bench's fixtures and acquisition settings, and the reconciliation
-oracles that more than one test module compares against: an exhaustive grid,
-the in-box closed form and a sequential scan of the box edges."""
+"""The bench's fixtures, acquisition settings, operating point and bundled
+trace, and the reconciliation oracles that more than one test module compares
+against: an exhaustive grid, the in-box closed form and a sequential scan of
+the box edges."""
 
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,15 +19,20 @@ from sqzlab import (
     ReconcileResult,
     detection_efficiency,
     escape_efficiency,
+    load_config,
     operating_point,
     remove_circuit_noise,
     spectral_point,
+    synthesize_trace,
 )
 from sqzlab.analysis import EFFICIENCY_SCALE_BOX, GAIN_SCALE_BOX, _scaled_prediction_db
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 CANONICAL_CONFIG = REPO_ROOT / "configs" / "ppktp_795nm.cfg"
 F0 = 1e6  # the bench's analysis frequency, Hz
+# the bundled config's operating point (alpha, rho, x, Omega) at F0; alpha as quoted,
+# the computed eta*xi^2 is 1 ulp above
+ALPHA, RHO, X, OMEGA = 0.819819, 0.8525149190110828, 0.5656277572369306, 0.10720434894893513
 
 
 @pytest.fixture
@@ -56,6 +63,19 @@ def bench_acq(samples=401, sweep=0.2, period=0.2, jitter=0.0, rbw=1e5, vbw=30.0)
 @pytest.fixture
 def acquisition():
     return bench_acq()
+
+
+def bundled_trace(seed, **acquisition_changes):
+    """The bundled config's trace for this seed, with any field of its
+    acquisition changed; jitter_sigma changes its LO scan's."""
+    cfg = load_config(CANONICAL_CONFIG)
+    acq = cfg.acquisition
+    if "jitter_sigma" in acquisition_changes:
+        jitter = acquisition_changes.pop("jitter_sigma")
+        acquisition_changes["lo_scan"] = replace(acq.lo_scan, jitter_sigma=jitter)
+    acq = replace(acq, **acquisition_changes)
+    point = operating_point(cfg.cavity, cfg.detection, cfg.pump, acq.center_frequency)
+    return synthesize_trace(*point, cfg.detection, acq, seed)
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import pytest
 from sqzlab import ConfigError, fit_trace, load_trace, min_max_levels, parse_config
 from sqzlab.cli import main
 
-ALPHA, RHO, X, OMEGA = 0.819819, 0.8525149190110828, 0.5656277572369306, 0.10720434894893513
+from conftest import ALPHA, OMEGA, RHO, X
 
 
 def run_cli(capsys, *argv):
@@ -477,6 +477,7 @@ class TestFormatChoices:
         ("predict", []),
         ("reconcile", ["--measured=-2.75,7.00"]),
         ("synth", ["--seed", "4", "--out", "unused.csv"]),
+        ("fit", ["--trace", "unused.csv"]),  # refused before the trace is read
     ])
     def test_csv_is_a_usage_error_outside_sweep(self, capsys, config_path, command, extra):
         # synth writes a trace file, not a report, so it has no --format at all
@@ -505,17 +506,6 @@ class TestFormatChoices:
 
 
 class TestFitFormat:
-    def test_csv_format_is_a_usage_error(self, capsys, config_path, tmp_path):
-        trace_path = tmp_path / "trace.csv"
-        run_cli(capsys, "synth", "--config", str(config_path), "--seed", "4", "--out", str(trace_path))
-        with pytest.raises(SystemExit) as exc:
-            main(["fit", "--trace", str(trace_path), "--config", str(config_path),
-                  "--format", "csv"])
-        captured = capsys.readouterr()
-        assert exc.value.code == 1
-        assert "invalid choice: 'csv'" in captured.err
-        assert captured.out == ""
-
     def test_fit_matches_the_default_library_fit(self, capsys, config_path, tmp_path):
         # the bundled config records 0.12 rad of LO jitter; both paths must use it
         trace_path = tmp_path / "trace.csv"

@@ -22,9 +22,7 @@ from sqzlab import (
 )
 from sqzlab.detection import circuit_noise_floor
 
-from conftest import bench_acq
-
-ALPHA, RHO, X, OMEGA = 0.819819, 0.8525149190110828, 0.5656277572369306, 0.10720434894893513
+from conftest import ALPHA, OMEGA, RHO, X, bench_acq
 
 
 class TestDetectionEfficiency:
@@ -104,14 +102,6 @@ class TestCircuitNoise:
             remove_circuit_noise(observed, clearance)
 
 
-def _analytic_jitter(theta0, sigma, alpha, rho, x, omega_norm):
-    """Gaussian moment identity: E[cos^2(t+d)] = (1 + exp(-2 s^2) cos 2t)/2."""
-    levels = min_max_levels(alpha, rho, x, omega_norm)
-    a = 0.5 * (levels.s_max + levels.s_min)
-    b = 0.5 * (levels.s_max - levels.s_min)
-    return a + b * math.exp(-2.0 * sigma * sigma) * math.cos(2.0 * theta0)
-
-
 class TestJitterAveraging:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ParameterDomainError, match=r"^jitter sigma must be >= 0, got -0.1$"):
@@ -122,32 +112,16 @@ class TestJitterAveraging:
             assert jitter_averaged_variance(theta0, 0.0, ALPHA, RHO, X, OMEGA) == pytest.approx(
                 float(quadrature_variance(theta0, ALPHA, RHO, X, OMEGA)), rel=1e-15)
 
-    def test_against_analytic_oracle(self):
-        got = jitter_averaged_variance(math.pi / 2, 0.2, ALPHA, RHO, X, OMEGA)
-        want = _analytic_jitter(math.pi / 2, 0.2, ALPHA, RHO, X, OMEGA)
-        assert got == pytest.approx(want, rel=1e-9)
-
-    def test_against_brute_force_trapezoid(self):
-        sigma = 0.1
+    # an oracle independent of the closed form: brute-force average over the jitter density
+    @pytest.mark.parametrize("sigma", [0.02, 0.1, 0.2, 0.3, 0.5, 0.8, 1.5, 3.0, 10.0])
+    @pytest.mark.parametrize("theta0", [0.0, 0.7, 0.9, math.pi / 2])
+    def test_against_brute_force_trapezoid(self, sigma, theta0):
         deltas = np.linspace(-8 * sigma, 8 * sigma, 400_001)
         density = np.exp(-0.5 * (deltas / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-        s = quadrature_variance(math.pi / 2 + deltas, ALPHA, RHO, X, OMEGA)
-        brute = np.trapezoid(s * density, deltas)
-        got = jitter_averaged_variance(math.pi / 2, sigma, ALPHA, RHO, X, OMEGA)
-        assert got == pytest.approx(float(brute), rel=1e-9)
-        assert got > float(quadrature_variance(math.pi / 2, ALPHA, RHO, X, OMEGA))
-
-    @pytest.mark.parametrize("sigma", [0.02, 0.1, 0.3, 0.5, 0.8, 1.5, 3.0, 10.0])
-    @pytest.mark.parametrize("theta0", [0.0, 0.7, math.pi / 2])
-    def test_analytic_oracle_grid(self, sigma, theta0):
+        s = quadrature_variance(theta0 + deltas, ALPHA, RHO, X, OMEGA)
+        brute = float(np.trapezoid(s * density, deltas))
         got = jitter_averaged_variance(theta0, sigma, ALPHA, RHO, X, OMEGA)
-        want = _analytic_jitter(theta0, sigma, ALPHA, RHO, X, OMEGA)
-        assert got == pytest.approx(want, rel=1e-9)
-
-    def test_default_node_count_suffices_below_half_radian(self):
-        got = jitter_averaged_variance(0.9, 0.5, ALPHA, RHO, X, OMEGA)
-        want = _analytic_jitter(0.9, 0.5, ALPHA, RHO, X, OMEGA)
-        assert got == pytest.approx(want, rel=1e-9)
+        assert got == pytest.approx(brute, rel=1e-9)
 
     def test_large_sigma_reaches_phase_average(self):
         levels = min_max_levels(ALPHA, RHO, X, OMEGA)
@@ -300,16 +274,3 @@ class TestSynthesis:
         assert np.array_equal(ref1.powers_db, ref2.powers_db)
         assert not np.array_equal(ref1.powers_db, ref3.powers_db)
         assert abs(float(np.mean(ref1.powers_db))) < 0.05
-
-
-class TestJitterClosedFormAgainstTrapezoid:
-    # an oracle independent of the closed form: brute-force average over the jitter density
-    @pytest.mark.parametrize("sigma", [0.8, 3.0])
-    @pytest.mark.parametrize("theta0", [0.0, 0.7, math.pi / 2])
-    def test_against_brute_force_trapezoid(self, sigma, theta0):
-        deltas = np.linspace(-8 * sigma, 8 * sigma, 400_001)
-        density = np.exp(-0.5 * (deltas / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-        s = quadrature_variance(theta0 + deltas, ALPHA, RHO, X, OMEGA)
-        brute = float(np.trapezoid(s * density, deltas))
-        got = jitter_averaged_variance(theta0, sigma, ALPHA, RHO, X, OMEGA)
-        assert got == pytest.approx(brute, rel=1e-9)

@@ -159,7 +159,7 @@ class TestPumpParameter:
     # it is the largest accepted
     LARGEST_GAIN = float.fromhex("0x1.fffffffffffffp+107")
 
-    @pytest.mark.parametrize("gain", [2.0 ** 108, 1e40, math.inf])
+    @pytest.mark.parametrize("gain", [2.0 ** 108, 1e40, math.inf, 1e300])
     def test_gain_at_threshold_to_double_precision_rejected(self, gain):
         message = r"^parametric_gain \S+ is at threshold to double precision"
         with pytest.raises(ParameterDomainError, match=message):

@@ -13,14 +13,14 @@ from sqzlab import (
     NoiseTrace,
     PhaseScan,
     TraceFormatError,
-    load_config,
-    operating_point,
     parse_trace,
     serialize_trace,
     synthesize_trace,
 )
 from sqzlab import traceio
 from sqzlab.traceio import _fmt, _plain_samples, _read_lines
+
+from conftest import bundled_trace
 
 
 def _trace(times, powers, **meta):
@@ -100,12 +100,9 @@ class TestMetadataReadsBack:
         with pytest.raises(TraceFormatError, match="^metadata key " + problem):
             serialize_trace(trace)
 
-    def test_the_bundled_config_trace_round_trips(self, config_path):
-        cfg = load_config(config_path)
-        point = operating_point(cfg.cavity, cfg.detection, cfg.pump,
-                                cfg.acquisition.center_frequency)
+    def test_the_bundled_config_trace_round_trips(self):
         for seed in (1, 42):
-            trace = synthesize_trace(*point, cfg.detection, cfg.acquisition, seed)
+            trace = bundled_trace(seed)
             _assert_traces_equal(parse_trace(serialize_trace(trace)), trace)
 
     @pytest.mark.parametrize("value", [True, np.float64(0.25), np.int64(-7), float("nan"), 1e16,
@@ -192,6 +189,17 @@ class TestParseErrors:
         text = serialize_trace(synthesize_trace(0.8, 0.8, 0.5, 0.1, chain, acquisition, 4))
         with pytest.raises(TraceFormatError, match="invalid trace"):
             parse_trace(text.replace("time_s,power_db\n0.0,", "time_s,power_db\n0.0,inf\n0.00003,", 1))
+
+    # a repeated key is refused, not read as its last value, which would silently set the fit's jitter
+    @pytest.mark.parametrize("key, value, again", [("scan_jitter_rad", "0.12", "0.5"),
+                                                   ("seed", "42", "7")])
+    def test_repeated_header_key_rejected(self, key, value, again):
+        text = serialize_trace(bundled_trace(42))
+        line = f"# {key}={value}\n"
+        lineno = text.splitlines(keepends=True).index(line) + 2
+        doubled = text.replace(line, f"{line}# {key}={again}\n")
+        with pytest.raises(TraceFormatError, match=rf"^line {lineno}: duplicate header key '{key}'$"):
+            parse_trace(doubled)
 
 
 class TestSampleCountHeader:
@@ -464,10 +472,7 @@ time_s,power_db
 """
 
 
-def test_header_text_of_a_bundled_config_trace(config_path):
-    cfg = load_config(config_path)
-    point = operating_point(cfg.cavity, cfg.detection, cfg.pump,
-                            cfg.acquisition.center_frequency)
-    text = serialize_trace(synthesize_trace(*point, cfg.detection, cfg.acquisition, 42))
+def test_header_text_of_a_bundled_config_trace():
+    text = serialize_trace(bundled_trace(42))
     assert text.startswith(BUNDLED_TRACE_HEADER)
     assert text.count("\n") == BUNDLED_TRACE_HEADER.count("\n") + 401
