@@ -22,6 +22,7 @@ _EXPORTS = {
         "VarianceLevels",
         "at_or_above_threshold",
         "cavity_decay_rate",
+        "detuning_at",
         "detuning_parameter",
         "escape_efficiency",
         "extremal_variances",

@@ -38,12 +38,14 @@ from .opo import (
     PumpSpec,
     VarianceLevels,
     at_or_above_threshold,
+    detuning_at,
     escape_efficiency,
     extremal_variances,
     gain_from_pump_parameter,
     min_max_levels,
     pump_parameter,
-    spectral_point,
+    pump_parameter_from_gain,
+    pump_parameter_from_power,
     threshold_power,
     to_db,
 )
@@ -63,8 +65,7 @@ def operating_point(cavity: CavityParams, chain: DetectionChain, pump: PumpSpec,
     """(alpha, rho, x, omega_norm) at one analysis frequency, in the argument
     order of ``min_max_levels`` and ``synthesize_trace``."""
     return (detection_efficiency(chain), escape_efficiency(cavity),
-            pump_parameter(pump, threshold_power(cavity)),
-            spectral_point(cavity, frequency_hz).detuning_parameter)
+            pump_parameter(pump, threshold_power(cavity)), detuning_at(cavity, frequency_hz))
 
 
 def predict_levels(cavity: CavityParams, chain: DetectionChain, pump: PumpSpec,
@@ -103,11 +104,13 @@ def sweep_pump(cavity: CavityParams, chain: DetectionChain, pumps: list[PumpSpec
     """Predicted levels for a list of pump drives, ordered by pump power.
 
     The threshold, the efficiencies and the detuning parameter are derived
-    once per sweep.  Each pump below threshold adds its x and the linear
-    pair of ``min_max_levels``, whose domain the types already hold (alpha
-    and rho in (0, 1], omega_norm >= 0, x < 1 below threshold); the levels
-    of the whole sweep then go to dB in one ``to_db`` call, with the bits of
-    one ``min_max_levels`` call per pump.  A power ``at_or_above_threshold``
+    once per sweep, and each pump's representation is read once: a power
+    meets the threshold rule once, and a row below threshold derives its x,
+    G and power each once, by the map of ``opo`` that owns it.  Each such
+    row adds the linear pair of ``min_max_levels``, whose domain the types
+    already hold (alpha and rho in (0, 1], omega_norm >= 0, x < 1 below
+    threshold); the levels of the whole sweep then go to dB in one
+    ``to_db`` call, with the bits of one ``min_max_levels`` call per pump.  A power ``at_or_above_threshold``
     is kept in the table as an invalid row rather than dropped.  Measured
     level pairs, given as (pump_power_W, levels), attach to the row with the
     nearest pump power; a measured power that is not finite and >= 0, or two
@@ -117,17 +120,22 @@ def sweep_pump(cavity: CavityParams, chain: DetectionChain, pumps: list[PumpSpec
         raise ParameterDomainError("pump list must not be empty")
     p_th = threshold_power(cavity)
     alpha, rho = detection_efficiency(chain), escape_efficiency(cavity)
-    omega_norm = spectral_point(cavity, frequency_hz).detuning_parameter
+    omega_norm = detuning_at(cavity, frequency_hz)
     drives, linear = [], []  # (power, gain, x, kind) per pump, x None above threshold
     for pump in pumps:
-        kind = pump.kind
-        if kind == "power" and at_or_above_threshold(pump.pump_power, p_th):
-            drives.append((pump.pump_power, None, None, kind))
-            continue
-        x = pump_parameter(pump, p_th)
-        drives.append((pump.pump_power if kind == "power" else x * x * p_th,
-                       pump.parametric_gain if kind == "gain" else gain_from_pump_parameter(x),
-                       x, kind))
+        power, gain = pump.pump_power, pump.parametric_gain
+        if power is not None:
+            if at_or_above_threshold(power, p_th):
+                drives.append((power, None, None, "power"))
+                continue
+            x = pump_parameter_from_power(power, p_th)
+            drives.append((power, gain_from_pump_parameter(x), x, "power"))
+        elif gain is not None:
+            x = pump_parameter_from_gain(gain)
+            drives.append((x * x * p_th, gain, x, "gain"))
+        else:
+            x = pump.pump_parameter
+            drives.append((x * x * p_th, gain_from_pump_parameter(x), x, "x"))
         s_min, s_max = extremal_variances(alpha, rho, x, omega_norm)
         linear += float(s_min), float(s_max)
     db = to_db(linear).tolist()  # one call for the sweep, not two per row
@@ -184,8 +192,13 @@ class ReconcileResult:
 def _scaled_prediction_db(gain_scale, efficiency_scale, nominal_gain: float, alpha: float,
                           rho: float, omega_norm: float, clearance_db: float):
     """Observed (s_min_db, s_max_db) with the gain and the detection efficiency
-    scaled; the scales may be arrays that broadcast together."""
-    x = 1.0 - 1.0 / np.sqrt(np.maximum(gain_scale * nominal_gain, 1.0))
+    scaled; the scales may be arrays that broadcast together.  A float gain
+    scale takes max and math.sqrt, the IEEE operations of np.maximum and
+    np.sqrt, without 0-d arrays."""
+    if isinstance(gain_scale, float):
+        x = pump_parameter_from_gain(max(gain_scale * nominal_gain, 1.0))
+    else:
+        x = 1.0 - 1.0 / np.sqrt(np.maximum(gain_scale * nominal_gain, 1.0))
     s_min, s_max = extremal_variances(efficiency_scale * alpha, rho, x, omega_norm)
     return apply_circuit_noise(s_min, clearance_db), apply_circuit_noise(s_max, clearance_db)
 
@@ -314,7 +327,7 @@ def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
     # normal alpha*rho; a gain scaled to the box's top must stay below threshold
     if not alpha * rho >= sys.float_info.min:
         raise ParameterDomainError(f"the efficiency product alpha*rho underflows: {alpha * rho}")
-    if not 1.0 - 1.0 / math.sqrt(GAIN_SCALE_BOX[1] * gain) < 1.0:
+    if not pump_parameter_from_gain(GAIN_SCALE_BOX[1] * gain) < 1.0:
         raise ParameterDomainError(f"parametric gain {gain} scaled by {GAIN_SCALE_BOX[1]} "
                                    "is at threshold to double precision")
     clearance = chain.circuit_noise_clearance_db
@@ -346,15 +359,10 @@ def reconcile_discrepancy(measured: VarianceLevels, cavity: CavityParams,
         g, e, norm = _box_edge_minimum(measured, gain, alpha, rho, omega_norm, clearance,
                                        (g_lo, g_hi, e_lo, e_hi))
     norm = float(norm)
-    return ReconcileResult(
-        gain_scale=float(g),
-        efficiency_scale=min(float(e), e_hi),
-        residual_db=norm,
-        amplitude_gain_scale=math.sqrt(g),
-        corrected_gain=float(g * gain),
-        iterations=0,
-        exact_match=norm < 1e-6,
-    )
+    # positional, in field order: gain_scale, efficiency_scale, residual_db,
+    # amplitude_gain_scale, corrected_gain, iterations, exact_match
+    return ReconcileResult(float(g), min(float(e), e_hi), norm, math.sqrt(g), float(g * gain), 0,
+                           norm < 1e-6)
 
 
 @dataclass(frozen=True)
@@ -401,10 +409,7 @@ def loss_only_explanation_check(measured: VarianceLevels, cavity: CavityParams,
     s_max_pred_db = apply_circuit_noise(extremal_variances(e * alpha, rho, x, omega_norm)[1],
                                         clearance)
     err = s_max_pred_db - measured.s_max_db
-    return LossOnlyReport(
-        efficiency_scale=float(e),
-        s_max_predicted_db=s_max_pred_db,
-        s_max_error_db=float(err),
-        feasible=abs(err) <= LOSS_ONLY_TOLERANCE_DB,
-        tolerance_db=LOSS_ONLY_TOLERANCE_DB,
-    )
+    # positional, in field order: efficiency_scale, s_max_predicted_db,
+    # s_max_error_db, feasible, tolerance_db
+    return LossOnlyReport(float(e), s_max_pred_db, float(err), abs(err) <= LOSS_ONLY_TOLERANCE_DB,
+                          LOSS_ONLY_TOLERANCE_DB)

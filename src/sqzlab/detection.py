@@ -115,6 +115,10 @@ class AcquisitionSettings:
         for name in ("center_frequency", "resolution_bandwidth", "video_bandwidth", "sweep_duration"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ParameterDomainError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 2.0 * self.lo_scan.rate * self.sweep_duration < math.inf:
+            raise ParameterDomainError(
+                f"sweep_duration {self.sweep_duration} s at scan period {self.lo_scan.period} s "
+                "gives a scan phase 2*rate*sweep_duration that overflows")
         if not self.video_bandwidth <= self.resolution_bandwidth:
             raise ParameterDomainError("video_bandwidth must not exceed resolution_bandwidth")
         if not 2.0 * self.resolution_bandwidth / self.video_bandwidth < math.inf:

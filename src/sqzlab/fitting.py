@@ -331,7 +331,8 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     and LM trial steps overflow.  ParameterDomainError is raised for a
     jitter_sigma not finite and >= 0 or so wide that exp(-2*sigma^2)
     underflows to 0 (no modulation left), a clearance not finite and > 0 dB,
-    and a sample whose linear power overflows (above about 3082 dB).  The
+    a sample time at which the scan phase 2*rate*t overflows, and a sample
+    whose linear power overflows (above about 3082 dB).  The
     regression solves (D D^T) c = D s for the (3, N) design D of rows
     [1, cos, sin] by _damped_solve at lam = 0, padded to 4x4 by a unit
     pivot, then once more for the residual's correction; fewer than 3
@@ -349,6 +350,13 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
         raise ParameterDomainError(f"need at least 3 samples to regress on [1, cos, sin], got {len(trace)}")
     floor = circuit_noise_floor(clearance_db)
     rate = trace.acquisition.lo_scan.rate
+    # a parsed trace's times can run past its sweep, so the phase is checked
+    # on them, not on the acquisition
+    t_max = max(-float(trace.times[0]), float(trace.times[-1]))
+    if not 2.0 * rate * t_max < math.inf:
+        raise ParameterDomainError(
+            f"the scan phase 2*rate*t overflows at |t| = {t_max} s (scan period "
+            f"{trace.acquisition.lo_scan.period} s), so the levels cannot be fitted")
     design = np.empty((3, len(trace)))
     design[0] = 1.0
     phase = np.multiply(2.0 * rate, trace.times, out=design[2])
@@ -364,7 +372,7 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     h = (h00, h01, h11, h02, h12, h22, 0.0, 0.0, 0.0, 1.0)
     g0, g1, g2 = (design @ s).tolist()
     solved = _damped_solve(h, (-g0, -g1, -g2, 0.0), 0.0, _PIVOT_RTOL)
-    if solved is None or math.isnan(h11):  # a phase that overflows passes as NaN pivots
+    if solved is None:
         span = 2.0 * rate * (trace.times[-1] - trace.times[0])
         raise ParameterDomainError(
             f"the trace sweeps {span:.3g} rad of 2*theta, too little to separate the mean "

@@ -141,9 +141,13 @@ class SpectralPoint:
     def __post_init__(self):
         if not self.detuning_parameter >= 0.0:
             raise ParameterDomainError(f"detuning_parameter must be >= 0, got {self.detuning_parameter}")
-        if not 4.0 * self.detuning_parameter * self.detuning_parameter < math.inf:
-            raise ParameterDomainError(
-                f"detuning_parameter {self.detuning_parameter} overflows 4*detuning_parameter^2")
+        _check_detuning_square(self.detuning_parameter)
+
+
+def _check_detuning_square(w: float) -> None:
+    """The models square the detuning parameter as 4*W^2, which must be finite."""
+    if not 4.0 * w * w < math.inf:
+        raise ParameterDomainError(f"detuning_parameter {w} overflows 4*detuning_parameter^2")
 
 
 @dataclass(frozen=True)
@@ -158,15 +162,14 @@ class VarianceLevels:
     s_min_db: float
     s_max_db: float
 
+    # positional arguments, in field order: they cost a dataclass __init__ less than keywords
     @classmethod
     def from_linear(cls, s_min: float, s_max: float) -> "VarianceLevels":
-        return cls(s_min=float(s_min), s_max=float(s_max),
-                   s_min_db=to_db(s_min), s_max_db=to_db(s_max))
+        return cls(float(s_min), float(s_max), to_db(s_min), to_db(s_max))
 
     @classmethod
     def from_db(cls, s_min_db: float, s_max_db: float) -> "VarianceLevels":
-        return cls(s_min=from_db(s_min_db), s_max=from_db(s_max_db),
-                   s_min_db=float(s_min_db), s_max_db=float(s_max_db))
+        return cls(from_db(s_min_db), from_db(s_max_db), float(s_min_db), float(s_max_db))
 
 
 def threshold_power(cavity: CavityParams) -> float:
@@ -193,9 +196,23 @@ def detuning_parameter(cavity: CavityParams, omega: float) -> float:
     return omega / cavity_decay_rate(cavity)
 
 
+def detuning_at(cavity: CavityParams, frequency_hz: float) -> float:
+    """The detuning parameter omega / gamma at an analysis frequency in Hz
+    (omega = 2*pi*f), as a float.  A frequency that is not finite and > 0, a
+    finite one whose 2*pi*f overflows, and a detuning parameter whose 4*W^2
+    overflows raise ParameterDomainError."""
+    omega = 2.0 * math.pi * frequency_hz
+    if omega == math.inf and frequency_hz < math.inf:
+        raise ParameterDomainError(
+            f"analysis frequency {frequency_hz} Hz overflows the angular frequency 2*pi*f")
+    w = detuning_parameter(cavity, omega)
+    _check_detuning_square(w)
+    return w
+
+
 def spectral_point(cavity: CavityParams, frequency_hz: float) -> SpectralPoint:
-    """Build a SpectralPoint from an analysis frequency in Hz (omega = 2*pi*f)."""
-    return SpectralPoint(detuning_parameter=detuning_parameter(cavity, 2.0 * math.pi * frequency_hz))
+    """``detuning_at`` as a SpectralPoint."""
+    return SpectralPoint(detuning_at(cavity, frequency_hz))
 
 
 def at_or_above_threshold(pump_power: float, threshold: float) -> bool:
@@ -213,16 +230,26 @@ def pump_parameter(pump: PumpSpec, threshold: float | None = None) -> float:
 
     Raises AboveThresholdError for a power ``at_or_above_threshold``.
     """
-    if pump.kind == "power":
+    if pump.pump_power is not None:
         if threshold is None or not threshold > 0.0:
             raise ParameterDomainError("power variant needs a positive threshold power")
         if at_or_above_threshold(pump.pump_power, threshold):
             raise AboveThresholdError(
                 f"pump power {pump.pump_power} W is at or above threshold {threshold} W")
-        return math.sqrt(pump.pump_power / threshold)
-    if pump.kind == "gain":
-        return 1.0 - 1.0 / math.sqrt(pump.parametric_gain)
+        return pump_parameter_from_power(pump.pump_power, threshold)
+    if pump.parametric_gain is not None:
+        return pump_parameter_from_gain(pump.parametric_gain)
     return pump.pump_parameter
+
+
+def pump_parameter_from_power(pump_power: float, threshold: float) -> float:
+    """x = sqrt(P_pump / P_th) of a power below a positive threshold, unchecked."""
+    return math.sqrt(pump_power / threshold)
+
+
+def pump_parameter_from_gain(parametric_gain: float) -> float:
+    """x = 1 - 1 / sqrt(G) of a gain G >= 1, unchecked."""
+    return 1.0 - 1.0 / math.sqrt(parametric_gain)
 
 
 def gain_from_pump_parameter(x: float) -> float:

@@ -28,6 +28,7 @@ from sqzlab import (
     sweep_pump,
     threshold_power,
 )
+from sqzlab.analysis import _scaled_prediction_db
 from sqzlab.detection import circuit_noise_floor
 
 from conftest import (F0, closed_form_reconcile, grid_search_oracle,
@@ -231,6 +232,55 @@ class TestOperatingPoint:
             pump_parameter(pump_gain, threshold_power(cavity)),
             spectral_point(cavity, F0).detuning_parameter,
         )
+
+
+# (cavity, frequency) of a detuning whose 4*W^2 overflows and of a finite frequency whose
+# 2*pi*f does, with the message the float detuning gives each
+_DETUNING_FAILURES = {
+    "4W^2": (CavityParams(1e160, 0.10, 0.0173, 0.023), F0,
+             r"^detuning_parameter \S+ overflows 4\*detuning_parameter\^2$"),
+    "2pi*f": (None, 1e308, r"^analysis frequency 1e\+308 Hz overflows the angular frequency 2\*pi\*f$"),
+}
+_MODEL_CALLS = {
+    "operating_point": operating_point,
+    "predict_levels": predict_levels,
+    "sweep_pump": lambda cavity, chain, pump, f: sweep_pump(cavity, chain, [pump], f),
+    "reconcile_discrepancy":
+        lambda cavity, chain, pump, f: reconcile_discrepancy(MEASURED, cavity, chain, pump, f),
+    "loss_only_explanation_check":
+        lambda cavity, chain, pump, f: loss_only_explanation_check(MEASURED, cavity, chain, pump, f),
+}
+
+
+class TestDetuningDomain:
+    """Every model call derives the detuning parameter through the one float
+    map, so it refuses with the message of spectral_point."""
+
+    @pytest.mark.parametrize("failure", sorted(_DETUNING_FAILURES))
+    @pytest.mark.parametrize("call", sorted(_MODEL_CALLS))
+    def test_same_message_as_spectral_point(self, cavity, chain, pump_gain, call, failure):
+        bad_cavity, frequency_hz, message = _DETUNING_FAILURES[failure]
+        bad_cavity = bad_cavity or cavity
+        with pytest.raises(ParameterDomainError, match=message) as expected:
+            spectral_point(bad_cavity, frequency_hz)
+        with pytest.raises(ParameterDomainError) as info:
+            _MODEL_CALLS[call](bad_cavity, chain, pump_gain, frequency_hz)
+        assert str(info.value) == str(expected.value)
+
+
+class TestScaledPredictionFloatPath:
+    """Float scales take math.sqrt and max; 0-d arrays take np.sqrt and
+    np.maximum, the operations of the array path, with the same bits."""
+
+    @pytest.mark.parametrize("gain", [1.2, 5.3, 30.0])  # at 1.2, g*G < 1 clamps to x = 0
+    def test_floats_match_0d_arrays_bit_for_bit(self, cavity, chain, gain, pump_gain):
+        alpha, rho, _, omega = operating_point(cavity, chain, pump_gain, F0)
+        rng = np.random.default_rng(27)
+        for g, e in zip(rng.uniform(0.5, 1.5, 300).tolist(), rng.uniform(0.3, 1.0, 300).tolist()):
+            levels = _scaled_prediction_db(g, e, gain, alpha, rho, omega, 14.0)
+            arrays = _scaled_prediction_db(np.array(g), np.array(e), gain, alpha, rho, omega, 14.0)
+            assert [type(v) for v in levels] == [float, float]
+            assert [v.hex() for v in levels] == [float(v).hex() for v in arrays]
 
 
 class TestLossOnlyDomain:

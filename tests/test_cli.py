@@ -292,6 +292,32 @@ class TestMalformedInputs:
         assert out == ""
         assert "line 21: video_bandwidth 1e-320 Hz overflows" in err
 
+    def test_synth_with_an_overflowing_scan_phase_is_an_error(self, capsys, config_path, tmp_path):
+        cfg = tmp_path / "phase.cfg"
+        text = config_path.read_text()
+        assert "sweep = 0.2s" in text and "period = 0.2s" in text
+        cfg.write_text(text.replace("sweep = 0.2s", "sweep = 1e10s").replace("period = 0.2s",
+                                                                            "period = 1e-300s"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            code, out, err = run_cli(capsys, "synth", "--config", str(cfg), "--seed", "1",
+                                     "--out", str(tmp_path / "trace.csv"))
+        assert code == 1
+        assert out == ""
+        assert err == ("error: line 22: sweep_duration 10000000000.0 s at scan period 1e-300 s "
+                       "gives a scan phase 2*rate*sweep_duration that overflows\n")
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_predict_at_a_frequency_whose_angular_frequency_overflows_is_an_error(self, capsys,
+                                                                                 config_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "predict", "--config", str(config_path),
+                                     "--frequency-hz", "1e308")
+        assert code == 1
+        assert out == ""
+        assert err == "error: analysis frequency 1e+308 Hz overflows the angular frequency 2*pi*f\n"
+
     def test_fit_of_a_header_with_an_overflowing_scan_rate_is_an_error(self, capsys, config_path,
                                                                        tmp_path):
         trace_path = tmp_path / "trace.csv"

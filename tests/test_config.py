@@ -241,6 +241,9 @@ class TestDerivedDomains:
         ("samples = 401", "samples = 1e300", r"^line 20: sample_count must be at most \d+, got 1e\+300$"),
         ("period = 0.2s", "period = 1e-320s",
          r"^line 23: period 1e-320 s gives a scan rate 2\*pi/period that overflows$"),
+        ("sweep = 0.2s", "sweep = 1e307s",
+         r"^line 19: sweep_duration 1e\+307 s at scan period 0.2 s gives a scan phase "
+         r"2\*rate\*sweep_duration that overflows$"),
     ])
     def test_overflowing_derived_quantity_names_key_and_line(self, old, new, message):
         assert old in GOOD

@@ -191,6 +191,9 @@ class TestValueDomains:
         ({"sample_count": int(1e300)}, rf"^sample_count must be at most {_INTP_MAX}, got 1e\+300$"),
         ({"sample_count": 10 ** 400}, rf"^sample_count must be at most {_INTP_MAX}, got 1e\+400$"),
         ({"sample_count": _INTP_MAX + 1}, rf"^sample_count must be at most {_INTP_MAX}, got "),
+        ({"sweep_duration": 1e10, "lo_scan": PhaseScan(period=1e-300)},
+         r"^sweep_duration 10000000000.0 s at scan period 1e-300 s gives a scan phase "
+         r"2\*rate\*sweep_duration that overflows$"),
     ])
     def test_acquisition_settings(self, fields, message):
         with pytest.raises(ParameterDomainError, match=message):

@@ -659,11 +659,14 @@ class TestNormalEquationStart:
             initial_guess(NoiseTrace(acq.times, np.zeros(2), acq), clearance_db=CLEARANCE)
 
     def test_a_scan_phase_that_overflows_is_rejected(self):
-        # 2*rate*t overflows to inf, whose cos and sin are NaN: NaN pivots pass the solve's tests
-        acq = bench_acq(sweep=1e10, period=1e-300)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ParameterDomainError):
-                initial_guess(NoiseTrace(acq.times, np.zeros(401), acq), clearance_db=CLEARANCE)
+        # the acquisition's own phase 2*rate*sweep_duration is 2.5e300 rad, but the trace's
+        # times run past its sweep to 1e10 s, where 2*rate*t overflows; the start refuses
+        # before its cos and sin would turn the inf into NaN pivots
+        acq = bench_acq(period=1e-300)
+        trace = NoiseTrace(np.linspace(0.0, 1e10, 401), np.zeros(401), acq)
+        with pytest.raises(ParameterDomainError, match=r"^the scan phase 2\*rate\*t overflows at "
+                                                       r"\|t\| = 10000000000.0 s \(scan period 1e-300 s\)"):
+            initial_guess(trace, clearance_db=CLEARANCE)
 
 
 class TestUndeterminedLevel:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sqzlab import (
     PumpSpec,
     SpectralPoint,
     cavity_decay_rate,
+    detuning_at,
     detuning_parameter,
     escape_efficiency,
     extremal_variances,
@@ -113,9 +115,42 @@ class TestDetuning:
                            match=r"^detuning_parameter \S+ overflows 4\*detuning_parameter\^2$"):
             spectral_point(cavity, 1e6)
 
+    def test_float_detuning_is_the_spectral_point_bit_for_bit(self):
+        # seeded cavities, frequencies log-uniform from 1 Hz up to the edge where 4*W^2
+        # overflows, and the largest frequency below that edge on a grid of 1e-3 in log10
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            cavity = CavityParams(float(10.0 ** rng.uniform(-3.0, 150.0)), float(rng.uniform(0.01, 0.5)),
+                                  float(rng.uniform(0.0, 0.4)), 0.023)
+            edge = math.sqrt(sys.float_info.max / 4.0) * cavity_decay_rate(cavity) / (2.0 * math.pi)
+            top = math.log10(min(edge, 1e307))
+            for f in (float(10.0 ** rng.uniform(0.0, top)), 10.0 ** (math.floor(top * 1e3) / 1e3)):
+                w = detuning_at(cavity, f)
+                assert type(w) is float
+                assert w.hex() == spectral_point(cavity, f).detuning_parameter.hex()
+                assert w.hex() == (2.0 * math.pi * f / cavity_decay_rate(cavity)).hex()
+
+    @pytest.mark.parametrize("make_cavity, frequency_hz, message", [
+        (lambda cavity: CavityParams(1e160, 0.10, 0.0173, 0.023), 1e6,
+         r"^detuning_parameter \S+ overflows 4\*detuning_parameter\^2$"),
+        (lambda cavity: cavity, 1e308,
+         r"^analysis frequency 1e\+308 Hz overflows the angular frequency 2\*pi\*f$"),
+        (lambda cavity: cavity, math.inf, r"^analysis frequency must be finite and > 0, got inf$"),
+        (lambda cavity: cavity, 0.0, r"^analysis frequency must be finite and > 0, got 0.0$"),
+    ], ids=["4W^2", "2pi*f", "inf", "zero"])
+    def test_float_detuning_refuses_with_the_spectral_point_message(self, cavity, make_cavity,
+                                                                   frequency_hz, message):
+        cavity = make_cavity(cavity)
+        with pytest.raises(ParameterDomainError, match=message) as info:
+            detuning_at(cavity, frequency_hz)
+        with pytest.raises(ParameterDomainError) as wrapped:
+            spectral_point(cavity, frequency_hz)
+        assert str(wrapped.value) == str(info.value)
+
     def test_frequency_overflowing_to_infinite_omega_rejected(self, cavity):
-        # 2*pi*1e308 Hz overflows to omega = inf
-        with pytest.raises(ParameterDomainError, match="must be finite and > 0"):
+        # 2*pi*1e308 Hz overflows to omega = inf; the message names the frequency in Hz
+        with pytest.raises(ParameterDomainError,
+                           match=r"^analysis frequency 1e\+308 Hz overflows the angular frequency 2\*pi\*f$"):
             spectral_point(cavity, 1e308)
 
 
