@@ -246,8 +246,11 @@ def synthesize_trace(alpha: float, rho: float, x: float, omega_norm: float,
     Per sample: the LO phase is the scan ramp plus (optionally) one Gaussian
     jitter draw; the mean observed power is the variance at that phase pushed
     through the circuit-noise map; the recorded power is that mean times a
-    normalised chi-square estimator factor.  Bit-identical for a fixed seed.
+    normalised chi-square estimator factor.  Bit-identical for a fixed seed,
+    which must be a non-negative integer (ParameterDomainError otherwise).
     """
+    if not (isinstance(rng_seed, (int, np.integer)) and rng_seed >= 0):
+        raise ParameterDomainError(f"seed must be a non-negative integer, got {rng_seed}")
     rng = np.random.default_rng(rng_seed)
     t = acq.times
     theta = acq.lo_scan.theta0 + acq.lo_scan.rate * t

@@ -43,6 +43,7 @@ over too little phase to separate 1, cos and sin is rejected, not fitted.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -331,8 +332,9 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     and LM trial steps overflow.  ParameterDomainError is raised for a
     jitter_sigma not finite and >= 0 or so wide that exp(-2*sigma^2)
     underflows to 0 (no modulation left), a clearance not finite and > 0 dB,
-    a sample time at which the scan phase 2*rate*t overflows, and a sample
-    whose linear power overflows (above about 3082 dB).  The
+    an omega_norm that is not a finite real >= 0 (a trace header may carry
+    text), a sample time at which the scan phase 2*rate*t overflows, and a
+    sample whose linear power overflows (above about 3082 dB).  The
     regression solves (D D^T) c = D s for the (3, N) design D of rows
     [1, cos, sin] by _damped_solve at lam = 0, padded to 4x4 by a unit
     pivot, then once more for the residual's correction; fewer than 3
@@ -349,6 +351,8 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     if len(trace) < 3:
         raise ParameterDomainError(f"need at least 3 samples to regress on [1, cos, sin], got {len(trace)}")
     floor = circuit_noise_floor(clearance_db)
+    if not (isinstance(omega_norm, numbers.Real) and 0.0 <= omega_norm < math.inf):
+        raise ParameterDomainError(f"omega_norm must be finite and >= 0, got {omega_norm}")
     rate = trace.acquisition.lo_scan.rate
     # a parsed trace's times can run past its sweep, so the phase is checked
     # on them, not on the acquisition
@@ -411,7 +415,8 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None) -> FitResult:
     sum of squares overflows (e.g. a sample of 1e160 dB), or whose clearance
     or jitter differs from the trace's record, for a clearance not finite and
     > 0 dB, when neither the model nor the trace gives a clearance, and for
-    a sample whose linear power overflows when initial_guess builds the start.
+    a sample whose linear power overflows or a recorded omega_norm that is
+    not a finite real >= 0 when initial_guess builds the start.
     """
     if len(trace) < 10 * _N_FREE:
         raise ParameterDomainError(

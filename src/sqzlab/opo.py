@@ -200,7 +200,9 @@ def detuning_at(cavity: CavityParams, frequency_hz: float) -> float:
     """The detuning parameter omega / gamma at an analysis frequency in Hz
     (omega = 2*pi*f), as a float.  A frequency that is not finite and > 0, a
     finite one whose 2*pi*f overflows, and a detuning parameter whose 4*W^2
-    overflows raise ParameterDomainError."""
+    overflows raise ParameterDomainError.  The frequency is taken as a Python
+    float, so a numpy one overflows without numpy's warning."""
+    frequency_hz = float(frequency_hz)
     omega = 2.0 * math.pi * frequency_hz
     if omega == math.inf and frequency_hz < math.inf:
         raise ParameterDomainError(
@@ -291,7 +293,8 @@ def extremal_variances(alpha, rho, x, omega_norm):
 
 
 def min_max_levels(alpha: float, rho: float, x: float, omega_norm: float) -> VarianceLevels:
-    """``extremal_variances`` after the domain checks, which NaN fails."""
+    """``extremal_variances`` after the domain checks, which NaN fails; a
+    detuning parameter whose 4*W^2 overflows is refused too."""
     if not 0.0 <= alpha <= 1.0:
         raise ParameterDomainError(f"detection efficiency must be in [0, 1], got {alpha}")
     if not 0.0 <= rho <= 1.0:
@@ -300,4 +303,5 @@ def min_max_levels(alpha: float, rho: float, x: float, omega_norm: float) -> Var
         raise ParameterDomainError(f"pump parameter must be in [0, 1), got {x}")
     if not omega_norm >= 0.0:
         raise ParameterDomainError(f"detuning parameter must be >= 0, got {omega_norm}")
+    _check_detuning_square(omega_norm)
     return VarianceLevels.from_linear(*extremal_variances(alpha, rho, x, omega_norm))

@@ -6,7 +6,23 @@ import warnings
 import numpy as np
 import pytest
 
-from sqzlab import ConfigError, fit_trace, load_trace, min_max_levels, parse_config
+from sqzlab import (
+    ConfigError,
+    PumpSpec,
+    VarianceLevels,
+    cavity_decay_rate,
+    fit_trace,
+    load_config,
+    load_trace,
+    loss_only_explanation_check,
+    min_max_levels,
+    operating_point,
+    parse_config,
+    predict_levels,
+    reconcile_discrepancy,
+    sweep_pump,
+    threshold_power,
+)
 from sqzlab.cli import main
 
 from conftest import ALPHA, OMEGA, RHO, X
@@ -97,6 +113,18 @@ class TestSynthFit:
         assert abs(report["s_min_db"] - truth.s_min_db) < 2 * report["s_min_sigma_db"]
         assert abs(report["s_max_db"] - truth.s_max_db) < 2 * report["s_max_sigma_db"]
         assert report["uncertainty_convention"] == "1-sigma"
+
+    def test_fit_of_the_seed_42_trace_gives_its_pinned_levels(self, capsys, config_path,
+                                                              tmp_path):
+        trace_path = tmp_path / "trace.csv"
+        run_cli(capsys, "synth", "--config", str(config_path), "--seed", "42", "--out", str(trace_path))
+        code, out, _ = run_cli(capsys, "fit", "--trace", str(trace_path),
+                               "--config", str(config_path), "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert abs(report["s_min_db"] - -4.095287667) < 1e-6
+        assert abs(report["s_max_db"] - 8.838654856) < 1e-6
+        assert report["iterations"] == 5 and report["converged"] is True
 
     def test_fit_text_report(self, capsys, config_path, tmp_path):
         trace_path = tmp_path / "trace.csv"
@@ -282,6 +310,14 @@ class TestMalformedInputs:
         assert "this command needs [acquisition]" in err
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_synth_with_a_negative_seed_is_an_error(self, capsys, config_path, tmp_path):
+        code, out, err = run_cli(capsys, "synth", "--config", str(config_path), "--seed", "-1",
+                                 "--out", str(tmp_path / "trace.csv"))
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_synth_with_an_overflowing_estimator_dof_is_an_error(self, capsys, config_path,
                                                                  tmp_path):
         cfg = tmp_path / "vbw.cfg"
@@ -329,6 +365,19 @@ class TestMalformedInputs:
         assert code == 1
         assert out == ""
         assert "invalid trace contents: period 1e-320 s gives a scan rate" in err
+
+    def test_fit_of_a_header_that_repeats_a_key_is_an_error(self, capfd, config_path, tmp_path):
+        # capfd: nothing may reach file descriptor 1, not even from C code
+        trace_path = tmp_path / "trace.csv"
+        run_cli(capfd, "synth", "--config", str(config_path), "--seed", "42", "--out", str(trace_path))
+        line = "# scan_jitter_rad=0.12\n"
+        text = trace_path.read_text()
+        lineno = text.splitlines(keepends=True).index(line) + 2
+        trace_path.write_text(text.replace(line, line + line))
+        code, out, err = run_cli(capfd, "fit", "--trace", str(trace_path), "--config", str(config_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: line {lineno}: duplicate header key 'scan_jitter_rad'\n"
 
     @pytest.mark.parametrize("count", ["1e17", "2e18"])  # 8e17 and 1.6e19 bytes of times
     def test_synth_with_an_unallocatable_sample_count_is_an_error(self, capsys, config_path,
@@ -482,6 +531,69 @@ class TestNonFiniteInputs:
         assert code == 1
         assert out == ""
         assert "--frequency-hz: value of 'frequency_hz' is not" in err and repr(frequency) in err
+
+
+SWEEP_POWERS_W = (0.020, 0.061, 0.200)  # the last above threshold
+
+
+def _library_report(argv, cfg, frequency_hz):
+    """What --format json prints for argv, built from the library's results."""
+    args = (cfg.cavity, cfg.detection, cfg.pump, frequency_hz)
+    if argv[0] == "predict":
+        alpha, rho, x, omega_norm = operating_point(*args)
+        levels = predict_levels(*args)
+        return {"threshold_w": threshold_power(cfg.cavity), "escape_efficiency": rho,
+                "detection_efficiency": alpha, "decay_rate_rad_s": cavity_decay_rate(cfg.cavity),
+                "detuning": omega_norm, "pump_parameter": x, "s_min_db": levels.s_min_db,
+                "s_max_db": levels.s_max_db, "observed_s_min_db": None,
+                "observed_s_max_db": None, "note": None}
+    if argv[0] == "reconcile":
+        pair_db = map(float, argv[1].removeprefix("--measured=").split(","))
+        measured = VarianceLevels.from_db(*pair_db)
+        result = reconcile_discrepancy(measured, *args)
+        loss_only = loss_only_explanation_check(measured, *args)
+        return {"gain_scale": result.gain_scale, "efficiency_scale": result.efficiency_scale,
+                "residual_db": result.residual_db,
+                "amplitude_gain_scale": result.amplitude_gain_scale,
+                "corrected_gain": result.corrected_gain, "exact_match": result.exact_match,
+                "loss_only_feasible": loss_only.feasible,
+                "loss_only_efficiency_scale": loss_only.efficiency_scale,
+                "loss_only_s_max_error_db": loss_only.s_max_error_db}
+    rows = sweep_pump(cfg.cavity, cfg.detection,
+                      [PumpSpec(pump_power=p) for p in SWEEP_POWERS_W], frequency_hz)
+    return [{"power_mw": r.pump_power * 1e3, "gain": r.parametric_gain, "x": r.pump_parameter,
+             "s_min_db": r.predicted.s_min_db if r.predicted else None,
+             "s_max_db": r.predicted.s_max_db if r.predicted else None,
+             "measured_s_min_db": None, "measured_s_max_db": None, "valid": r.valid}
+            for r in rows]
+
+
+class TestFullPrecision:
+    """--format json writes the library's floats by repr (json.dumps's float
+    format), so the float.hex goldens of test_scalar_path pin the CLI too."""
+
+    @pytest.mark.parametrize("argv", [
+        ["predict"],
+        *(["reconcile", f"--measured={pair}"]
+          for pair in ("-2.75,7.00", "-0.5,14.0", "-6.0,2.0", "-3.97,8.15")),
+        ["sweep", "--powers", "20mW,61mW,200mW"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_json_is_the_library_result(self, capsys, config_path, argv):
+        cfg = load_config(config_path)
+        code, out, _ = run_cli(capsys, *argv, "--config", str(config_path), "--format", "json")
+        assert code == 0
+        expected = _library_report(argv, cfg, cfg.acquisition.center_frequency)
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_sweep_csv_is_the_library_result(self, capsys, config_path):
+        cfg = load_config(config_path)
+        argv = ["sweep", "--powers", "20mW,61mW,200mW"]
+        code, out, _ = run_cli(capsys, *argv, "--config", str(config_path), "--format", "csv")
+        assert code == 0
+        records = _library_report(argv, cfg, cfg.acquisition.center_frequency)
+        assert out.splitlines() == [",".join(records[0])] + [
+            ",".join("" if v is None else str(v).lower() if isinstance(v, bool) else repr(v)
+                     for v in record.values()) for record in records]
 
 
 class TestEntryPoint:

@@ -233,6 +233,14 @@ class TestSynthesis:
         b = synthesize_trace(ALPHA, RHO, X, OMEGA, chain, bench_acq(), 124)
         assert not np.array_equal(a.powers_db, b.powers_db)
 
+    # numpy raises ValueError or TypeError on these, and takes None as fresh entropy
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 2.0, "7", None],
+                             ids=["-1", "int64", "float", "str", "None"])
+    def test_seed_must_be_a_non_negative_integer(self, chain, seed):
+        with pytest.raises(ParameterDomainError,
+                           match=rf"^seed must be a non-negative integer, got {seed}$"):
+            synthesize_trace(ALPHA, RHO, X, OMEGA, chain, bench_acq(), seed)
+
     def test_shot_only_trace_is_centred_on_zero_db(self, chain):
         acq = bench_acq(samples=10_000, sweep=2.0)
         trace = synthesize_trace(ALPHA, RHO, 0.0, OMEGA, chain, acq, 7)

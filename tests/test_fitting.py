@@ -338,6 +338,17 @@ class TestStartModelDomain:
         with pytest.raises(ParameterDomainError, match="clearance must be finite and > 0 dB"):
             fit_trace(trace)
 
+    # the detuning is fixed context that the fit copies into its result
+    @pytest.mark.parametrize("omega_norm", ["abc", "nan", "-1.0", "inf"])
+    def test_recorded_omega_norm_must_be_finite_and_non_negative(self, omega_norm):
+        line = f"# omega_norm={OMEGA!r}\n"
+        text = serialize_trace(_synth(seed=349))
+        assert line in text
+        trace = parse_trace(text.replace(line, f"# omega_norm={omega_norm}\n"))
+        with pytest.raises(ParameterDomainError,
+                           match=rf"^omega_norm must be finite and >= 0, got {omega_norm}$"):
+            fit_trace(trace)
+
     @pytest.mark.parametrize("clearance", [-5.0, 0.0, math.inf, math.nan])
     def test_given_clearance_must_be_finite_and_positive(self, clearance):
         trace = _synth(seed=346)

@@ -147,11 +147,13 @@ class TestDetuning:
             spectral_point(cavity, frequency_hz)
         assert str(wrapped.value) == str(info.value)
 
-    def test_frequency_overflowing_to_infinite_omega_rejected(self, cavity):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow warning must not leak
+    @pytest.mark.parametrize("frequency_hz", [1e308, np.float64(1e308)], ids=["float", "float64"])
+    def test_frequency_overflowing_to_infinite_omega_rejected(self, cavity, frequency_hz):
         # 2*pi*1e308 Hz overflows to omega = inf; the message names the frequency in Hz
         with pytest.raises(ParameterDomainError,
                            match=r"^analysis frequency 1e\+308 Hz overflows the angular frequency 2\*pi\*f$"):
-            spectral_point(cavity, 1e308)
+            spectral_point(cavity, frequency_hz)
 
 
 class TestPumpParameter:
