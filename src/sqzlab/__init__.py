@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "opo": (
         "SPEED_OF_LIGHT",
-        "AboveThresholdError",
         "CavityParams",
         "ParameterDomainError",
         "PumpSpec",

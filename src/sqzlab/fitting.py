@@ -81,8 +81,8 @@ class FitModel:
     theta0              LO phase at t = 0, radians (free)
     scan_rate           LO phase scan rate, rad/s (free)
     clearance_db        circuit-noise clearance, fixed (required, no default)
-    omega_norm          detuning parameter, fixed (kept for back-mapping to
-                        pump parameter, not used by the trace model itself)
+    omega_norm          detuning parameter, a finite real >= 0, fixed (kept for
+                        back-mapping to pump parameter, not used by the trace model)
     jitter_sigma        known RMS LO phase jitter, fixed (0 = no averaging;
                         otherwise the model is the exact jitter average)
     """
@@ -94,6 +94,10 @@ class FitModel:
     clearance_db: float
     omega_norm: float = 0.0
     jitter_sigma: float = 0.0
+
+    def __post_init__(self):
+        if not (isinstance(self.omega_norm, numbers.Real) and 0.0 <= self.omega_norm < math.inf):
+            raise ParameterDomainError(f"omega_norm must be finite and >= 0, got {self.omega_norm}")
 
 
 @dataclass(frozen=True)
@@ -351,8 +355,6 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     if len(trace) < 3:
         raise ParameterDomainError(f"need at least 3 samples to regress on [1, cos, sin], got {len(trace)}")
     floor = circuit_noise_floor(clearance_db)
-    if not (isinstance(omega_norm, numbers.Real) and 0.0 <= omega_norm < math.inf):
-        raise ParameterDomainError(f"omega_norm must be finite and >= 0, got {omega_norm}")
     rate = trace.acquisition.lo_scan.rate
     # a parsed trace's times can run past its sweep, so the phase is checked
     # on them, not on the acquisition

@@ -29,11 +29,6 @@ class ParameterDomainError(ValueError):
     """A physical parameter is outside its valid domain."""
 
 
-class AboveThresholdError(ParameterDomainError):
-    """Pump power at or above oscillation threshold; the below-threshold
-    variance model does not apply there."""
-
-
 def to_db(s_linear):
     """Linear variance (relative to shot noise) -> dB.  A scalar (Python,
     numpy or 0-d) gives a Python float, an array an array of its shape."""
@@ -145,7 +140,8 @@ class SpectralPoint:
 
 
 def _check_detuning_square(w: float) -> None:
-    """The models square the detuning parameter as 4*W^2, which must be finite."""
+    """4*W^2 of the detuning parameter, squared as a float (no numpy warning), must be finite."""
+    w = float(w)
     if not 4.0 * w * w < math.inf:
         raise ParameterDomainError(f"detuning_parameter {w} overflows 4*detuning_parameter^2")
 
@@ -203,8 +199,10 @@ def detuning_at(cavity: CavityParams, frequency_hz: float) -> float:
     overflows raise ParameterDomainError.  The frequency is taken as a Python
     float, so a numpy one overflows without numpy's warning."""
     frequency_hz = float(frequency_hz)
+    if not 0.0 < frequency_hz < math.inf:
+        raise ParameterDomainError(f"analysis frequency must be finite and > 0, got {frequency_hz}")
     omega = 2.0 * math.pi * frequency_hz
-    if omega == math.inf and frequency_hz < math.inf:
+    if omega == math.inf:
         raise ParameterDomainError(
             f"analysis frequency {frequency_hz} Hz overflows the angular frequency 2*pi*f")
     w = detuning_parameter(cavity, omega)
@@ -230,13 +228,13 @@ def pump_parameter(pump: PumpSpec, threshold: float | None = None) -> float:
     Gain variant:   x = 1 - 1 / sqrt(G)
     x variant:      identity
 
-    Raises AboveThresholdError for a power ``at_or_above_threshold``.
+    Raises ParameterDomainError for a power ``at_or_above_threshold``.
     """
     if pump.pump_power is not None:
         if threshold is None or not threshold > 0.0:
             raise ParameterDomainError("power variant needs a positive threshold power")
         if at_or_above_threshold(pump.pump_power, threshold):
-            raise AboveThresholdError(
+            raise ParameterDomainError(
                 f"pump power {pump.pump_power} W is at or above threshold {threshold} W")
         return pump_parameter_from_power(pump.pump_power, threshold)
     if pump.parametric_gain is not None:

@@ -53,26 +53,12 @@ class TestPredict:
         assert "s_max_observed = 8.74 dB" in out
         assert "note:" in out and "convention" in out
 
-    def test_json_schema_stable(self, capsys, config_path):
-        code, out1, _ = run_cli(capsys, "predict", "--config", str(config_path), "--format", "json")
+    def test_frequency_flag_overrides_the_acquisition_frequency(self, capsys, config_path):
+        # the [acquisition] f = 1MHz output is TestFullPrecision's predict case
+        code, out, _ = run_cli(capsys, "predict", "--config", str(config_path),
+                               "--frequency-hz", "3e6", "--format", "json")
         assert code == 0
-        code, out2, _ = run_cli(capsys, "predict", "--config", str(config_path), "--format", "json")
-        assert code == 0
-        d1, d2 = json.loads(out1), json.loads(out2)
-        assert list(d1) == list(d2)
-        assert d1["threshold_w"] == pytest.approx(0.1495575, rel=1e-12)
-        assert d1["s_max_db"] == pytest.approx(8.886796542330625, abs=1e-9)
-
-    @pytest.mark.parametrize("flag, s_min_db", [
-        ([], -4.356106547452889),  # [acquisition] f = 1MHz
-        (["--frequency-hz", "3e6"], -3.4866970789567784),
-    ])
-    def test_frequency_flag_overrides_the_acquisition_frequency(self, capsys, config_path,
-                                                                 flag, s_min_db):
-        code, out, _ = run_cli(capsys, "predict", "--config", str(config_path), *flag,
-                               "--format", "json")
-        assert code == 0
-        assert json.loads(out)["s_min_db"] == s_min_db
+        assert json.loads(out)["s_min_db"] == -3.4866970789567784
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -99,21 +85,6 @@ class TestSynthFit:
         run_cli(capsys, "synth", "--config", str(config_path), "--seed", "6", "--out", str(out3))
         assert out1.read_bytes() != out3.read_bytes()
 
-    def test_synth_then_fit_round_trip(self, capsys, config_path, tmp_path):
-        trace_path = tmp_path / "trace.csv"
-        code, _, _ = run_cli(capsys, "synth", "--config", str(config_path), "--seed", "42",
-                             "--out", str(trace_path))
-        assert code == 0
-        code, out, _ = run_cli(capsys, "fit", "--trace", str(trace_path),
-                               "--config", str(config_path), "--format", "json")
-        assert code == 0
-        report = json.loads(out)
-        truth = min_max_levels(ALPHA, RHO, X, OMEGA)
-        assert report["converged"]
-        assert abs(report["s_min_db"] - truth.s_min_db) < 2 * report["s_min_sigma_db"]
-        assert abs(report["s_max_db"] - truth.s_max_db) < 2 * report["s_max_sigma_db"]
-        assert report["uncertainty_convention"] == "1-sigma"
-
     def test_fit_of_the_seed_42_trace_gives_its_pinned_levels(self, capsys, config_path,
                                                               tmp_path):
         trace_path = tmp_path / "trace.csv"
@@ -125,6 +96,9 @@ class TestSynthFit:
         assert abs(report["s_min_db"] - -4.095287667) < 1e-6
         assert abs(report["s_max_db"] - 8.838654856) < 1e-6
         assert report["iterations"] == 5 and report["converged"] is True
+        truth = min_max_levels(ALPHA, RHO, X, OMEGA)  # each level within 2 sigma of the truth
+        assert abs(report["s_min_db"] - truth.s_min_db) < 2 * report["s_min_sigma_db"]
+        assert abs(report["s_max_db"] - truth.s_max_db) < 2 * report["s_max_sigma_db"]
 
     def test_fit_text_report(self, capsys, config_path, tmp_path):
         trace_path = tmp_path / "trace.csv"
@@ -205,34 +179,8 @@ class TestSweep:
                                "--gains", "2,3", "--powers", "10mW")
         assert code == 1
 
-    def test_powers_axis_with_units(self, capsys, config_path):
-        code, out, _ = run_cli(capsys, "sweep", "--config", str(config_path),
-                               "--powers", "20mW,40mW,61mW", "--format", "json")
-        assert code == 0
-        rows = json.loads(out)
-        assert [r["power_mw"] for r in rows] == pytest.approx([20.0, 40.0, 61.0])
-        assert all(r["valid"] for r in rows)
-
-    def test_above_threshold_row_marked(self, capsys, config_path):
-        code, out, _ = run_cli(capsys, "sweep", "--config", str(config_path),
-                               "--powers", "61mW,200mW", "--format", "json")
-        assert code == 0
-        rows = json.loads(out)
-        assert rows[0]["valid"] and not rows[1]["valid"]
-        assert rows[1]["s_min_db"] is None
-
 
 class TestReconcile:
-    def test_quoted_measurement(self, capsys, config_path):
-        code, out, _ = run_cli(capsys, "reconcile", "--config", str(config_path),
-                               "--measured", "-2.75,7.00", "--format", "json")
-        assert code == 0
-        report = json.loads(out)
-        assert report["gain_scale"] == pytest.approx(0.8210948818791952, abs=1e-6)
-        assert report["efficiency_scale"] <= 1.0
-        assert report["residual_db"] < 0.05
-        assert report["loss_only_feasible"] is False
-
     def test_text_report(self, capsys, config_path):
         code, out, _ = run_cli(capsys, "reconcile", "--config", str(config_path),
                                "--measured", "-2.75,7.00")
@@ -343,6 +291,18 @@ class TestMalformedInputs:
         assert err == ("error: line 22: sweep_duration 10000000000.0 s at scan period 1e-300 s "
                        "gives a scan phase 2*rate*sweep_duration that overflows\n")
         assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("predict", []),
+        ("sweep", ["--powers", "20mW,61mW"]),
+        ("reconcile", ["--measured=-2.75,7.00"]),
+    ])
+    def test_a_negative_frequency_is_named_in_hz(self, capsys, config_path, command, extra):
+        code, out, err = run_cli(capsys, command, "--config", str(config_path), *extra,
+                                 "--frequency-hz", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: analysis frequency must be finite and > 0, got -1.0\n"
 
     def test_predict_at_a_frequency_whose_angular_frequency_overflows_is_an_error(self, capsys,
                                                                                  config_path):
@@ -570,7 +530,8 @@ def _library_report(argv, cfg, frequency_hz):
 
 class TestFullPrecision:
     """--format json writes the library's floats by repr (json.dumps's float
-    format), so the float.hex goldens of test_scalar_path pin the CLI too."""
+    format), so the float.hex goldens of test_scalar_path pin the CLI too, and
+    the seed-42 pin of TestSynthFit the fit's levels."""
 
     @pytest.mark.parametrize("argv", [
         ["predict"],
@@ -594,6 +555,22 @@ class TestFullPrecision:
         assert out.splitlines() == [",".join(records[0])] + [
             ",".join("" if v is None else str(v).lower() if isinstance(v, bool) else repr(v)
                      for v in record.values()) for record in records]
+
+    def test_fit_json_is_the_library_result(self, capsys, config_path, tmp_path):
+        # the default fit in the trace's recorded context, 0.12 rad of LO jitter included
+        trace_path = tmp_path / "trace.csv"
+        run_cli(capsys, "synth", "--config", str(config_path), "--seed", "42", "--out", str(trace_path))
+        code, out, _ = run_cli(capsys, "fit", "--trace", str(trace_path),
+                               "--config", str(config_path), "--format", "json")
+        assert code == 0
+        result = fit_trace(load_trace(trace_path))
+        expected = {"s_min_db": result.levels.s_min_db, "s_min_sigma_db": result.s_min_sigma_db,
+                    "s_max_db": result.levels.s_max_db, "s_max_sigma_db": result.s_max_sigma_db,
+                    "theta0_rad": result.model.theta0, "scan_rate_rad_s": result.model.scan_rate,
+                    "residual_rms_db": result.residual_rms_db, "iterations": result.iterations,
+                    "converged": result.converged, "phase_identifiable": result.phase_identifiable,
+                    "uncertainty_convention": "1-sigma"}
+        assert out == json.dumps(expected, indent=2) + "\n"
 
 
 class TestEntryPoint:
@@ -641,21 +618,6 @@ class TestFormatChoices:
         assert exc.value.code == 1
         assert "unrecognized arguments: --frequency-hz 2e6" in captured.err
         assert captured.out == ""
-
-
-class TestFitFormat:
-    def test_fit_matches_the_default_library_fit(self, capsys, config_path, tmp_path):
-        # the bundled config records 0.12 rad of LO jitter; both paths must use it
-        trace_path = tmp_path / "trace.csv"
-        run_cli(capsys, "synth", "--config", str(config_path), "--seed", "42", "--out", str(trace_path))
-        code, out, _ = run_cli(capsys, "fit", "--trace", str(trace_path),
-                               "--config", str(config_path), "--format", "json")
-        assert code == 0
-        report = json.loads(out)
-        default = fit_trace(load_trace(trace_path))
-        assert default.levels.s_min_db == report["s_min_db"]
-        assert default.levels.s_max_db == report["s_max_db"]
-        assert default.s_min_sigma_db == report["s_min_sigma_db"]
 
 
 class TestFitContext:

@@ -349,6 +349,13 @@ class TestStartModelDomain:
                            match=rf"^omega_norm must be finite and >= 0, got {omega_norm}$"):
             fit_trace(trace)
 
+    # a caller's start model is held to the check a recorded omega_norm meets
+    @pytest.mark.parametrize("omega_norm", [math.nan, -1.0, math.inf, "abc"])
+    def test_start_model_omega_norm_must_be_finite_and_non_negative(self, omega_norm):
+        with pytest.raises(ParameterDomainError,
+                           match=rf"^omega_norm must be finite and >= 0, got {omega_norm}$"):
+            replace(_perturbed_guess(), omega_norm=omega_norm)
+
     @pytest.mark.parametrize("clearance", [-5.0, 0.0, math.inf, math.nan])
     def test_given_clearance_must_be_finite_and_positive(self, clearance):
         trace = _synth(seed=346)

@@ -7,7 +7,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sqzlab import (
-    AboveThresholdError,
     CavityParams,
     ParameterDomainError,
     PumpSpec,
@@ -108,12 +107,16 @@ class TestDetuning:
                            match=rf"^detuning_parameter must be >= 0, got {value}$"):
             SpectralPoint(value)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow warning must not leak
     def test_detuning_whose_square_overflows_rejected(self):
         # W = omega/gamma ~ 2e159 for a 1e160 m cavity: 4*W^2 overflows
         cavity = CavityParams(1e160, 0.10, 0.0173, 0.023)
         with pytest.raises(ParameterDomainError,
                            match=r"^detuning_parameter \S+ overflows 4\*detuning_parameter\^2$"):
             spectral_point(cavity, 1e6)
+        with pytest.raises(ParameterDomainError,
+                           match=r"^detuning_parameter 1e\+160 overflows 4\*detuning_parameter\^2$"):
+            SpectralPoint(np.float64(1e160))
 
     def test_float_detuning_is_the_spectral_point_bit_for_bit(self):
         # seeded cavities, frequencies log-uniform from 1 Hz up to the edge where 4*W^2
@@ -137,7 +140,8 @@ class TestDetuning:
          r"^analysis frequency 1e\+308 Hz overflows the angular frequency 2\*pi\*f$"),
         (lambda cavity: cavity, math.inf, r"^analysis frequency must be finite and > 0, got inf$"),
         (lambda cavity: cavity, 0.0, r"^analysis frequency must be finite and > 0, got 0.0$"),
-    ], ids=["4W^2", "2pi*f", "inf", "zero"])
+        (lambda cavity: cavity, -1.0, r"^analysis frequency must be finite and > 0, got -1.0$"),
+    ], ids=["4W^2", "2pi*f", "inf", "zero", "negative"])
     def test_float_detuning_refuses_with_the_spectral_point_message(self, cavity, make_cavity,
                                                                    frequency_hz, message):
         cavity = make_cavity(cavity)
@@ -171,9 +175,11 @@ class TestPumpParameter:
         assert pump_parameter(PumpSpec(parametric_gain=1.0)) == 0.0
 
     def test_above_threshold_rejected(self):
-        with pytest.raises(AboveThresholdError):
+        with pytest.raises(ParameterDomainError,
+                           match=r"^pump power 0.15 W is at or above threshold 0.15 W$"):
             pump_parameter(PumpSpec(pump_power=0.150), threshold=0.150)
-        with pytest.raises(AboveThresholdError):
+        with pytest.raises(ParameterDomainError,
+                           match=r"^pump power 0.2 W is at or above threshold 0.15 W$"):
             pump_parameter(PumpSpec(pump_power=0.2), threshold=0.150)
 
     def test_power_variant_needs_threshold(self):

@@ -216,9 +216,10 @@ class TestScalarDomainContract:
         ((0.8, 0.8, math.nan, 0.1), "pump parameter must be in [0, 1), got nan"),
         ((0.8, 0.8, 0.5, -0.1), "detuning parameter must be >= 0, got -0.1"),
         ((0.8, 0.8, 0.5, math.nan), "detuning parameter must be >= 0, got nan"),
-        pytest.param((0.8, 0.8, 0.5, 1e160),
-                     "detuning_parameter 1e+160 overflows 4*detuning_parameter^2",
-                     marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+        *(pytest.param((0.8, 0.8, 0.5, w),
+                       "detuning_parameter 1e+160 overflows 4*detuning_parameter^2",
+                       marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
+          for w in (1e160, np.float64(1e160))),
     ])
     def test_levels_and_variance_share_messages(self, args, message):
         for call in (lambda: min_max_levels(*args), lambda: quadrature_variance(0.0, *args)):
