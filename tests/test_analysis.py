@@ -36,8 +36,17 @@ from conftest import (F0, closed_form_reconcile, grid_search_oracle,
 
 MEASURED = VarianceLevels.from_db(-2.75, 7.00)
 
+# frozen from direct evaluation of the composed pipeline
+PREDICTED_DB = (-4.356106547452888, 8.886796542330625)
+CORRECTED_DB = (-4.078115351303469, 8.739537487341194)
+
 
 class TestPredictLevels:
+    def test_circuit_corrected(self, cavity, chain, pump_gain):
+        levels = predict_levels(cavity, chain, pump_gain, F0, include_circuit_noise=True)
+        assert levels.s_min_db == pytest.approx(CORRECTED_DB[0], abs=1e-9)
+        assert levels.s_max_db == pytest.approx(CORRECTED_DB[1], abs=1e-9)
+
     def test_unit_gain_is_shot_noise(self, cavity, chain):
         levels = predict_levels(cavity, chain, PumpSpec(parametric_gain=1.0), F0)
         assert levels.s_min_db == pytest.approx(0.0, abs=1e-12)
@@ -54,11 +63,26 @@ class TestSweep:
         assert all(b < a for a, b in zip(smin, smin[1:]))
         assert all(b > a for a, b in zip(smax, smax[1:]))
 
+    def test_contains_quoted_point(self, cavity, chain):
+        rows = sweep_pump(cavity, chain, [PumpSpec(parametric_gain=g) for g in self.GAINS], F0)
+        row = next(r for r in rows if r.parametric_gain == 5.3)
+        assert row.predicted.s_min_db == pytest.approx(PREDICTED_DB[0], abs=1e-9)
+        assert row.predicted.s_max_db == pytest.approx(PREDICTED_DB[1], abs=1e-9)
+        assert row.pump_parameter == pytest.approx(0.5656277572369306, rel=1e-12)
+
     def test_rows_ordered_by_power(self, cavity, chain):
         pumps = [PumpSpec(parametric_gain=g) for g in (9.0, 2.0, 5.3)]
         rows = sweep_pump(cavity, chain, pumps, F0)
         powers = [r.pump_power for r in rows]
         assert powers == sorted(powers)
+
+    def test_above_threshold_marked_invalid(self, cavity, chain):
+        p_th = threshold_power(cavity)
+        pumps = [PumpSpec(pump_power=0.5 * p_th), PumpSpec(pump_power=2.0 * p_th)]
+        rows = sweep_pump(cavity, chain, pumps, F0)
+        assert len(rows) == 2
+        assert rows[0].valid and rows[0].predicted is not None
+        assert not rows[1].valid and rows[1].predicted is None
 
     def test_measured_attached_to_nearest(self, cavity, chain):
         pumps = [PumpSpec(parametric_gain=g) for g in (2.0, 5.3, 9.0)]
@@ -107,6 +131,13 @@ class TestReconcile:
         with pytest.raises(ParameterDomainError):
             reconcile_discrepancy(MEASURED, cavity, chain, PumpSpec(pump_power=0.061), F0)
 
+    def test_unreachable_measurement_flagged(self, cavity, chain, pump_gain):
+        # more anti-squeezing than any in-box correction can produce
+        impossible = VarianceLevels.from_db(-0.5, 14.0)
+        result = reconcile_discrepancy(impossible, cavity, chain, pump_gain, F0)
+        assert not result.exact_match
+        assert result.residual_db > 0.05
+
 
 def _forward_levels(cavity, chain, pump, gain_scale, efficiency_scale, frequency_hz=F0):
     """Observed-level pair predicted with scaled gain and efficiency."""
@@ -116,6 +147,12 @@ def _forward_levels(cavity, chain, pump, gain_scale, efficiency_scale, frequency
 
 
 class TestLossOnly:
+    def test_quoted_measurement_is_infeasible(self, cavity, chain, pump_gain):
+        report = loss_only_explanation_check(MEASURED, cavity, chain, pump_gain, F0)
+        assert not report.feasible
+        assert abs(report.s_max_error_db) > 0.3
+        assert report.efficiency_scale == pytest.approx(0.770318021857767, abs=1e-9)
+
     def test_bisection_oracle_agreement(self, cavity, chain, pump_gain):
         report = loss_only_explanation_check(MEASURED, cavity, chain, pump_gain, F0)
         alpha, rho, x, omega = operating_point(cavity, chain, pump_gain, F0)

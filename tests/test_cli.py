@@ -53,12 +53,26 @@ class TestPredict:
         assert "s_max_observed = 8.74 dB" in out
         assert "note:" in out and "convention" in out
 
-    def test_frequency_flag_overrides_the_acquisition_frequency(self, capsys, config_path):
-        # the [acquisition] f = 1MHz output is TestFullPrecision's predict case
-        code, out, _ = run_cli(capsys, "predict", "--config", str(config_path),
-                               "--frequency-hz", "3e6", "--format", "json")
+    def test_json_schema_stable(self, capsys, config_path):
+        code, out1, _ = run_cli(capsys, "predict", "--config", str(config_path), "--format", "json")
         assert code == 0
-        assert json.loads(out)["s_min_db"] == -3.4866970789567784
+        code, out2, _ = run_cli(capsys, "predict", "--config", str(config_path), "--format", "json")
+        assert code == 0
+        d1, d2 = json.loads(out1), json.loads(out2)
+        assert list(d1) == list(d2)
+        assert d1["threshold_w"] == pytest.approx(0.1495575, rel=1e-12)
+        assert d1["s_max_db"] == pytest.approx(8.886796542330625, abs=1e-9)
+
+    @pytest.mark.parametrize("flag, s_min_db", [
+        ([], -4.356106547452889),  # [acquisition] f = 1MHz
+        (["--frequency-hz", "3e6"], -3.4866970789567784),
+    ])
+    def test_frequency_flag_overrides_the_acquisition_frequency(self, capsys, config_path,
+                                                                 flag, s_min_db):
+        code, out, _ = run_cli(capsys, "predict", "--config", str(config_path), *flag,
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["s_min_db"] == s_min_db
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -179,8 +193,34 @@ class TestSweep:
                                "--gains", "2,3", "--powers", "10mW")
         assert code == 1
 
+    def test_powers_axis_with_units(self, capsys, config_path):
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(config_path),
+                               "--powers", "20mW,40mW,61mW", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["power_mw"] for r in rows] == pytest.approx([20.0, 40.0, 61.0])
+        assert all(r["valid"] for r in rows)
+
+    def test_above_threshold_row_marked(self, capsys, config_path):
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(config_path),
+                               "--powers", "61mW,200mW", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert rows[0]["valid"] and not rows[1]["valid"]
+        assert rows[1]["s_min_db"] is None
+
 
 class TestReconcile:
+    def test_quoted_measurement(self, capsys, config_path):
+        code, out, _ = run_cli(capsys, "reconcile", "--config", str(config_path),
+                               "--measured", "-2.75,7.00", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["gain_scale"] == pytest.approx(0.8210948818791952, abs=1e-6)
+        assert report["efficiency_scale"] <= 1.0
+        assert report["residual_db"] < 0.05
+        assert report["loss_only_feasible"] is False
+
     def test_text_report(self, capsys, config_path):
         code, out, _ = run_cli(capsys, "reconcile", "--config", str(config_path),
                                "--measured", "-2.75,7.00")

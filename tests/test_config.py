@@ -7,6 +7,7 @@ from sqzlab import (
     format_config,
     load_config,
     parse_config,
+    predict_levels,
 )
 from sqzlab.config import parse_quantity
 
@@ -53,6 +54,18 @@ class TestParseGood:
         assert cfg.acquisition.sample_count == 401
         assert cfg.acquisition.lo_scan.period == 0.2
         assert cfg.acquisition.lo_scan.jitter_sigma == 0.12
+
+    def test_prediction_from_config(self):
+        cfg = parse_config(GOOD)
+        levels = predict_levels(cfg.cavity, cfg.detection, cfg.pump,
+                                cfg.acquisition.center_frequency)
+        assert levels.s_min_db == pytest.approx(-4.356106547452888, abs=1e-9)
+        assert levels.s_max_db == pytest.approx(8.886796542330625, abs=1e-9)
+
+    def test_canonical_file_on_disk(self, config_path):
+        cfg = load_config(config_path)
+        assert cfg.pump.parametric_gain == 5.3
+        assert cfg.acquisition is not None
 
     def test_power_pump_with_units(self):
         text = GOOD.replace("gain = 5.3", "power = 61mW")
