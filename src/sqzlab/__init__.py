@@ -42,6 +42,7 @@ _EXPORTS = {
         "apply_circuit_noise",
         "detection_efficiency",
         "jitter_averaged_variance",
+        "jitter_contrast",
         "remove_circuit_noise",
         "synthesize_shot_reference",
         "synthesize_trace",

@@ -36,11 +36,27 @@ _MAX_INDEX = int(np.iinfo(np.intp).max)  # the largest count numpy can index
 
 def circuit_noise_floor(clearance_db) -> float:
     """Electronic floor n = 10^(-clearance/10), a linear variance relative to
-    shot noise.  The clearance must be a finite real > 0 dB; anything else
-    (a trace header may carry text) raises ParameterDomainError."""
+    shot noise, for a finite real clearance > 0 dB at which n > 0 (up to about
+    3236 dB); anything else (header text too) raises ParameterDomainError."""
     if not (isinstance(clearance_db, _REAL) and 0.0 < clearance_db < math.inf):
         raise ParameterDomainError(f"clearance must be finite and > 0 dB, got {clearance_db}")
-    return from_db(-clearance_db)
+    n = from_db(-clearance_db)
+    if not n > 0.0:  # with no floor, a jittered fit's s_min Jacobian column is 0/0
+        raise ParameterDomainError(f"clearance {clearance_db} dB gives a floor that underflows to 0")
+    return n
+
+
+def jitter_contrast(sigma) -> float:
+    """Contrast exp(-2*sigma^2) that Gaussian LO jitter of RMS sigma leaves in the phase modulation;
+    a sigma not finite and >= 0, or one at which it underflows to 0, raises ParameterDomainError."""
+    if not 0.0 <= sigma < math.inf:
+        raise ParameterDomainError(f"jitter_sigma must be finite and >= 0, got {sigma}")
+    s = min(sigma, 1e3)  # the contrast is 0 above ~19.3 rad; a huge sigma must not overflow
+    contrast = math.exp(-2.0 * s * s)
+    if contrast == 0.0:
+        raise ParameterDomainError(f"jitter_sigma = {sigma} rad washes out the phase modulation "
+                                   "(exp(-2*sigma^2) underflows to 0), so the levels cannot be fitted")
+    return contrast
 
 
 @dataclass(frozen=True)
@@ -89,8 +105,7 @@ class PhaseScan:
             raise ParameterDomainError(f"period {self.period} s gives a scan rate 2*pi/period that overflows")
         if not math.isfinite(self.theta0):
             raise ParameterDomainError(f"theta0 must be finite, got {self.theta0}")
-        if not 0.0 <= self.jitter_sigma < math.inf:
-            raise ParameterDomainError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}")
+        jitter_contrast(self.jitter_sigma)
 
     @property
     def rate(self) -> float:

@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detection import NoiseTrace, circuit_noise_floor
+from .detection import NoiseTrace, circuit_noise_floor, jitter_contrast
 from .opo import ParameterDomainError, VarianceLevels, from_db
 
 _LN10_OVER_10 = math.log(10.0) / 10.0
@@ -334,24 +334,17 @@ def initial_guess(trace: NoiseTrace, clearance_db: float, omega_norm: float = 0.
     A + B*exp(-2*sigma^2)*cos(2*theta0 + 2*rate*t).
     s_min starts no lower than A/100: far below, its Jacobian column vanishes
     and LM trial steps overflow.  ParameterDomainError is raised for a
-    jitter_sigma not finite and >= 0 or so wide that exp(-2*sigma^2)
-    underflows to 0 (no modulation left), a clearance not finite and > 0 dB,
-    an omega_norm that is not a finite real >= 0 (a trace header may carry
-    text), a sample time at which the scan phase 2*rate*t overflows, and a
-    sample whose linear power overflows (above about 3082 dB).  The
-    regression solves (D D^T) c = D s for the (3, N) design D of rows
-    [1, cos, sin] by _damped_solve at lam = 0, padded to 4x4 by a unit
-    pivot, then once more for the residual's correction; fewer than 3
-    samples, or a pivot at or below _PIVOT_RTOL of its diagonal entry (a
-    sweep over too little phase to separate the rows, e.g. 10 us at a 0.2 s
-    period), raise ParameterDomainError."""
-    if not 0.0 <= jitter_sigma < math.inf:
-        raise ParameterDomainError(f"jitter_sigma must be finite and >= 0, got {jitter_sigma}")
-    contrast = math.exp(-2.0 * jitter_sigma * jitter_sigma)
-    if contrast == 0.0:
-        raise ParameterDomainError(
-            f"jitter_sigma = {jitter_sigma} rad washes out the phase modulation "
-            "(exp(-2*sigma^2) underflows to 0), so the levels cannot be fitted")
+    jitter_sigma or a clearance outside jitter_contrast's or
+    circuit_noise_floor's domain, an omega_norm that is not a finite real
+    >= 0 (a trace header may carry text), a sample time at which the scan
+    phase 2*rate*t overflows, and a sample whose linear power overflows
+    (above about 3082 dB).  The regression solves (D D^T) c = D s for the
+    (3, N) design D of rows [1, cos, sin] by _damped_solve at lam = 0,
+    padded to 4x4 by a unit pivot, then once more for the residual's
+    correction; fewer than 3 samples, or a pivot at or below _PIVOT_RTOL of
+    its diagonal entry (a sweep over too little phase to separate the rows,
+    e.g. 10 us at a 0.2 s period), raise ParameterDomainError."""
+    contrast = jitter_contrast(jitter_sigma)
     if len(trace) < 3:
         raise ParameterDomainError(f"need at least 3 samples to regress on [1, cos, sin], got {len(trace)}")
     floor = circuit_noise_floor(clearance_db)
@@ -415,8 +408,8 @@ def fit_trace(trace: NoiseTrace, model: FitModel | None = None) -> FitResult:
     sigma are ``math.inf``.  ParameterDomainError is raised for a start model
     whose curve is not finite (e.g. an overflowing level), whose residuals'
     sum of squares overflows (e.g. a sample of 1e160 dB), or whose clearance
-    or jitter differs from the trace's record, for a clearance not finite and
-    > 0 dB, when neither the model nor the trace gives a clearance, and for
+    or jitter differs from the trace's record, for a clearance outside
+    circuit_noise_floor's domain, when neither gives a clearance, and for
     a sample whose linear power overflows or a recorded omega_norm that is
     not a finite real >= 0 when initial_guess builds the start.
     """

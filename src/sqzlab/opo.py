@@ -78,8 +78,8 @@ class CavityParams:
                 raise ParameterDomainError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         for name, derived in (("decay rate c*(T + L)/l", cavity_decay_rate),
                               ("threshold (T + L)^2/(4*E_NL)", threshold_power)):
-            if not derived(self) > 0.0:
-                raise ParameterDomainError(f"cavity {name} underflows to 0")
+            if not 0.0 < derived(self) < math.inf:
+                raise ParameterDomainError(f"cavity {name} {'overflows' if derived(self) else 'underflows to 0'}")
 
 
 @dataclass(frozen=True)

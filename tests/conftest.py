@@ -1,10 +1,13 @@
 """The bench's fixtures, acquisition settings, operating point and bundled
-trace, and the reconciliation oracles that more than one test module compares
-against: an exhaustive grid, the in-box closed form and a sequential scan of
-the box edges."""
+trace, the in-process CLI harness and its refusal contract, and the
+reconciliation oracles that more than one test module compares against: an
+exhaustive grid, the in-box closed form and a sequential scan of the box
+edges."""
 
+import json
 import math
 import pathlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +29,7 @@ from sqzlab import (
     synthesize_trace,
 )
 from sqzlab.analysis import EFFICIENCY_SCALE_BOX, GAIN_SCALE_BOX, _scaled_prediction_db
+from sqzlab.cli import main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 CANONICAL_CONFIG = REPO_ROOT / "configs" / "ppktp_795nm.cfg"
@@ -81,6 +85,41 @@ def bundled_trace(seed, **acquisition_changes):
 @pytest.fixture
 def config_path():
     return CANONICAL_CONFIG
+
+
+def run_cli(capture, *argv):
+    """(exit code, stdout, stderr) of `sqzlab argv` run in process with every
+    warning an error; a usage error's SystemExit gives its code.  capture is
+    capsys or capfd, read (and so emptied) once per run."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    captured = capture.readouterr()
+    return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which JSON does not have."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def assert_refused(result, expected="", out=None):
+    """The CLI's refusal contract on a run_cli result: exit 1, nothing on
+    stdout, exactly one stderr line starting 'error:', the last, containing
+    expected, and no file left at synth's out."""
+    code, stdout, stderr = result
+    lines = stderr.splitlines()
+    assert (code, stdout) == (1, ""), result
+    assert lines and [line for line in lines if line.startswith("error:")] == lines[-1:], stderr
+    assert expected in lines[-1], stderr
+    assert out is None or not out.exists()
 
 
 def grid_search_oracle(measured, cavity, chain, gain, resolution=1e-3):

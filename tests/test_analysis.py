@@ -450,7 +450,9 @@ def _accepted_inputs(draw):
         cavity = CavityParams(draw(positive), transmittance,
                               draw(st.floats(0.0, 1.0 - transmittance, exclude_max=True)),
                               draw(positive))
-        chain = DetectionChain(draw(unit), draw(unit), draw(unit), draw(positive))
+        # clearances from the accepted domain: above ~3236 dB the floor underflows
+        chain = DetectionChain(draw(unit), draw(unit), draw(unit),
+                               draw(st.floats(0.0, 3236.0, exclude_min=True)))
         pump = draw(st.one_of(st.builds(PumpSpec, parametric_gain=st.floats(1.0)),
                               st.builds(PumpSpec, pump_parameter=st.floats(0.0, 1.0, exclude_max=True)),
                               st.builds(PumpSpec, pump_power=st.floats(0.0))))

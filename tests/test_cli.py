@@ -1,7 +1,7 @@
 import json
 import subprocess
 import sys
-import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,15 +23,200 @@ from sqzlab import (
     sweep_pump,
     threshold_power,
 )
-from sqzlab.cli import main
 
-from conftest import ALPHA, OMEGA, RHO, X
+from conftest import ALPHA, CANONICAL_CONFIG, OMEGA, RHO, X, assert_refused, run_cli, strict_json
+
+BUNDLED = CANONICAL_CONFIG.read_text()
+NO_ACQUISITION = BUNDLED[:BUNDLED.index("[acquisition]")]
 
 
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def _edited(text, edits):
+    for old, new in edits.items():
+        assert old in text, old
+        text = text.replace(old, new)
+    return text
+
+
+SYNTH = "synth --config {cfg} --seed 1 --out {out}"
+
+
+def _fit_of(seed, config="{cfg}"):
+    """A session that writes the trace of config at seed and fits it with the row's config."""
+    return f"synth --config {config} --seed {seed} --out {{trace}} ; fit --trace {{trace}} --config {{cfg}}"
+
+
+class Refusal(NamedTuple):
+    """One CLI session whose last command is refused.  argv's commands, split
+    at ' ; ', run in turn, every one but the last to exit 0; in them {cfg} is
+    the row's config (config itself if text, else the bundled one with each
+    old: new of config replaced), {bundled} the bundled config, {trace} the
+    trace the session writes (each old: new of trace replaced before the last
+    command), {csv} a measured CSV holding measured and {out} synth's output."""
+
+    id: str
+    argv: str
+    expected: str
+    config: str | dict = {}
+    trace: dict = {}
+    measured: str = ""
+
+
+_MEASURED_HEADER = "power_mw,s_min_db,s_max_db\n"
+_FREQUENCY_COMMANDS = [("predict", ""), ("sweep", "--powers 20mW,61mW"),
+                       ("reconcile", "--measured=-2.75,7.00")]
+
+# The one home of each CLI refusal: the id is the test that pinned it before
+# the table, with its parametrization.
+REFUSALS = [
+    Refusal("test_parse_error_exit_code", "predict --config {cfg}",
+            "error: missing detection block", config="[cavity]\nT = 1.2\n"),
+    Refusal("test_missing_file_exit_code", "predict --config /nonexistent.cfg",
+            "error: [Errno 2] No such file or directory: '/nonexistent.cfg'"),
+    Refusal("test_requires_exactly_one_axis[neither]", "sweep --config {cfg}",
+            "error: provide exactly one of --gains or --powers"),
+    Refusal("test_requires_exactly_one_axis[both]",
+            "sweep --config {cfg} --gains 2,3 --powers 10mW",
+            "error: provide exactly one of --gains or --powers"),
+    Refusal("test_non_numeric_gain_rejected", "sweep --config {cfg} --gains 2,abc",
+            "error: --gains: value of 'gain' is not a number: 'abc'"),
+    Refusal("test_bad_power_names_the_flag", "sweep --config {cfg} --powers 20mW,xx",
+            "error: --powers: value of 'power' is not a number: 'xx'"),
+    *(Refusal(f"test_non_finite_level_rejected[{pair}]",
+              f"reconcile --config {{cfg}} --measured {pair}",
+              f"error: --measured: value of '{key}' is not a number: '{value}'")
+      for pair, key, value in [("nan,7", "s_min_db", "nan"), ("-2.75,inf", "s_max_db", "inf"),
+                               ("-inf,7", "s_min_db", "-inf")]),
+    Refusal("test_reconcile_needs_a_level_pair", "reconcile --config {cfg} --measured=-2.75",
+            "error: expected 'smin_db,smax_db', got '-2.75'"),
+    Refusal("test_measured_csv_row_needs_three_fields",
+            "sweep --config {cfg} --gains 2,5.3 --measured {csv}",
+            "measured.csv:2: expected 'power_mw,s_min_db,s_max_db'",
+            measured=_MEASURED_HEADER + "47.85,-2.75\n"),
+    Refusal("test_synth_needs_an_acquisition_block", SYNTH,
+            "error: this command needs [acquisition]", config=NO_ACQUISITION),
+    Refusal("test_synth_with_a_negative_seed_is_an_error", "synth --config {cfg} --seed -1 --out {out}",
+            "error: seed must be a non-negative integer, got -1"),
+    Refusal("test_synth_with_an_overflowing_estimator_dof_is_an_error", SYNTH,
+            "error: line 21: video_bandwidth 1e-320 Hz overflows 2*RBW/VBW",
+            config={"vbw = 30Hz": "vbw = 1e-320Hz"}),
+    Refusal("test_synth_with_an_overflowing_scan_phase_is_an_error", SYNTH,
+            "error: line 22: sweep_duration 10000000000.0 s at scan period 1e-300 s "
+            "gives a scan phase 2*rate*sweep_duration that overflows",
+            config={"sweep = 0.2s": "sweep = 1e10s", "period = 0.2s": "period = 1e-300s"}),
+    *(Refusal(f"test_a_negative_frequency_is_named_in_hz[{command}-extra{i}]",
+              f"{command} --config {{cfg}} {extra} --frequency-hz -1",
+              "error: analysis frequency must be finite and > 0, got -1.0")
+      for i, (command, extra) in enumerate(_FREQUENCY_COMMANDS)),
+    Refusal("test_predict_at_a_frequency_whose_angular_frequency_overflows_is_an_error",
+            "predict --config {cfg} --frequency-hz 1e308",
+            "error: analysis frequency 1e+308 Hz overflows the angular frequency 2*pi*f"),
+    Refusal("test_fit_of_a_header_with_an_overflowing_scan_rate_is_an_error", _fit_of(42),
+            "error: invalid trace contents: period 1e-320 s gives a scan rate",
+            trace={"scan_period_s=0.2\n": "scan_period_s=1e-320\n"}),
+    Refusal("test_fit_of_a_header_that_repeats_a_key_is_an_error", _fit_of(42),
+            "error: line 10: duplicate header key 'scan_jitter_rad'",
+            trace={"# scan_jitter_rad=0.12\n": "# scan_jitter_rad=0.12\n" * 2}),
+    *(Refusal(f"test_synth_with_an_unallocatable_sample_count_is_an_error[{count}]", SYNTH,
+              f"error: sample_count {int(float(count))} is more float64 times",
+              config={"samples = 401": f"samples = {count}"})
+      for count in ("1e17", "2e18")),  # 8e17 and 1.6e19 bytes of times
+    Refusal("test_fit_of_a_sweep_too_short_to_separate_the_regressors_is_an_error", _fit_of(1),
+            "error: the trace sweeps 0.000628 rad of 2*theta, too little",
+            config={"sweep = 0.2s": "sweep = 1e-5s"}),
+    Refusal("test_reconcile_at_unit_gain_is_a_domain_error",
+            "reconcile --config {cfg} --measured -2.75,7.00",
+            "error: loss-only check needs a pump above zero (x > 0)",
+            config={"gain = 5.3": "gain = 1.0"}),
+    Refusal("test_a_config_gain_at_threshold_names_its_line", "predict --config {cfg}",
+            "error: line 16: parametric_gain 1e+40 is at threshold to double",
+            config={"gain = 5.3": "gain = 1e40"}),
+    Refusal("test_a_swept_gain_at_threshold_is_named", "sweep --config {cfg} --gains 2,1e40",
+            "error: parametric_gain 1e+40 is at threshold to double precision"),
+    Refusal("test_two_measured_rows_on_one_sweep_row_are_an_error",
+            "sweep --config {cfg} --powers 61mW,200mW --measured {csv}",
+            "error: measured rows at 0.06 W and 0.062 W both attach to the sweep row at 0.061 W",
+            measured=_MEASURED_HEADER + "60,-2.75,7.00\n62,-2.8,7.1\n"),
+    Refusal("test_a_negative_measured_power_is_an_error",
+            "sweep --config {cfg} --powers 20mW,61mW --measured {csv}",
+            "error: measured pump power must be finite and >= 0, got -0.005 W",
+            measured=_MEASURED_HEADER + "-5,-3.0,6.0\n"),
+    Refusal("test_a_measured_level_whose_variance_overflows_is_an_error",
+            "reconcile --config {cfg} --measured -2.75,4000 --format json",
+            "error: observed level 4000.0 dB overflows as a linear variance"),
+    Refusal("test_measured_csv_nan_rejected",
+            "sweep --config {cfg} --gains 2,5.3 --measured {csv}",
+            "measured.csv:2: value of 's_min_db' is not a number: 'nan'",
+            measured=_MEASURED_HEADER + "47.85,nan,7.00\n"),
+    Refusal("test_non_finite_gain_rejected", "sweep --config {cfg} --gains 2,inf",
+            "error: --gains: value of 'gain' is not a number: 'inf'"),
+    Refusal("test_overflowing_power_rejected", "sweep --config {cfg} --powers 1e400mW --format json",
+            "error: --powers: value of 'power' is not finite: '1e400mW'"),
+    Refusal("test_predict_with_a_decay_rate_that_overflows_is_an_error", "predict --config {cfg}",
+            "error: line 4: cavity decay rate c*(T + L)/l overflows",
+            config={"l = 600mm": "l = 1e-300mm"}),
+    Refusal("test_overflowing_config_value_is_a_parse_error", "predict --config {cfg}",
+            "error: line 5: value of 'l' is not finite: '1e400mm'",
+            config={"l = 600mm": "l = 1e400mm"}),
+    Refusal("test_fit_with_washed_out_jitter_is_an_error", _fit_of(4),
+            "error: invalid trace contents: jitter_sigma = 30.0 rad washes out",
+            trace={"scan_jitter_rad=0.12": "scan_jitter_rad=30"}),
+    # 1e300 dB parses (it is finite) but overflows as a linear power
+    Refusal("test_fit_of_an_overflowing_sample_is_an_error", _fit_of(4), "sample of 1e+300 dB overflows",
+            trace={"\n0.003,8.78346975509489\n": "\n0.003,1e300\n"}),
+    # without [acquisition] the analysis frequency comes from --frequency-hz
+    *(Refusal(f"test_non_finite_frequency_rejected[{command}-extra{i}-{frequency}]",
+              f"{command} --config {{cfg}} {extra} --frequency-hz {frequency}",
+              "error: --frequency-hz: value of 'frequency_hz' is not "
+              f"{'finite' if frequency == '1e400' else 'a number'}: {frequency!r}",
+              config=NO_ACQUISITION)
+      for i, (command, extra) in enumerate(_FREQUENCY_COMMANDS)
+      for frequency in ("inf", "1e400", "nan")),
+    # sqzlab fit reads the clearance from the trace header; the config must agree
+    Refusal("test_a_disagreeing_config_is_an_error", _fit_of(42, config="{bundled}"),
+            "error: the trace records clearance_db = 14.0 dB but the config "
+            "says clearance = 20.0 dB", config={"clearance = 14.0dB": "clearance = 20.0dB"}),
+    # usage errors: synth writes a trace file, not a report, so it has no --format at all
+    *(Refusal(f"test_csv_is_a_usage_error_outside_sweep[{command}-extra{i}]",
+              f"{command} --config {{cfg}} {extra} --format csv",
+              "error: unrecognized arguments: --format csv" if command == "synth"
+              else "error: argument --format: invalid choice: 'csv'")
+      for i, (command, extra) in enumerate([
+          ("predict", ""), ("reconcile", "--measured=-2.75,7.00"),
+          ("synth", "--seed 4 --out {out}"),
+          ("fit", "--trace unused.csv")])),  # refused before the trace is read
+    *(Refusal(f"test_frequency_is_a_usage_error_where_no_frequency_is_read[{command}-extra{i}]",
+              f"{command} --config {{cfg}} {extra} --frequency-hz 2e6",
+              "error: unrecognized arguments: --frequency-hz 2e6")
+      for i, (command, extra) in enumerate([("synth", "--seed 4 --out {out}"),
+                                            ("fit", "--trace unused.csv")])),
+    # the floor 10^(-clearance/10) is 0 above ~3236 dB, and with no floor a
+    # jittered fit's s_min Jacobian column is 0/0
+    Refusal("test_synth_with_a_clearance_whose_floor_underflows_is_an_error", SYNTH,
+            "error: line 13: circuit_noise_clearance_db: clearance 1e+154 dB gives a floor "
+            "that underflows to 0",
+            config={"clearance = 14.0dB": "clearance = 1e154dB", "jitter = 0.12rad": "jitter = 3rad"}),
+    # exp(-2*sigma^2) underflows to 0 above ~19.3 rad, and at 1.7e308 rad synth's
+    # jitter draws overflow to inf
+    Refusal("test_synth_with_a_jitter_that_washes_out_the_modulation_is_an_error", SYNTH,
+            "error: line 28: jitter_sigma = 1.7e+308 rad washes out the phase modulation",
+            config={"jitter = 0.12rad": "jitter = 1.7e308rad"}),
+]
+
+
+@pytest.mark.parametrize("row", REFUSALS, ids=[row.id for row in REFUSALS])
+def test_refusal(capfd, tmp_path, row):
+    # capfd: nothing may reach file descriptor 1, not even from C code
+    paths = {name: tmp_path / file for name, file in [
+        ("cfg", "row.cfg"), ("trace", "trace.csv"), ("csv", "measured.csv"), ("out", "out.csv")]}
+    paths["cfg"].write_text(_edited(BUNDLED, row.config) if isinstance(row.config, dict) else row.config)
+    paths["csv"].write_text(row.measured)
+    *session, refused = [[token.format(bundled=CANONICAL_CONFIG, **paths) for token in command.split()]
+                         for command in row.argv.split(" ; ")]
+    for command in session:
+        assert run_cli(capfd, *command)[0] == 0
+    if row.trace:
+        paths["trace"].write_text(_edited(paths["trace"].read_text(), row.trace))
+    assert_refused(run_cli(capfd, *refused), row.expected, paths["out"])
 
 
 class TestPredict:
@@ -73,18 +258,6 @@ class TestPredict:
                                "--format", "json")
         assert code == 0
         assert json.loads(out)["s_min_db"] == s_min_db
-
-    def test_parse_error_exit_code(self, capsys, tmp_path):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("[cavity]\nT = 1.2\n")
-        code, _, err = run_cli(capsys, "predict", "--config", str(bad))
-        assert code == 1
-        assert "error:" in err
-
-    def test_missing_file_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "predict", "--config", "/nonexistent.cfg")
-        assert code == 1
-        assert "error:" in err
 
 
 class TestSynthFit:
@@ -186,13 +359,6 @@ class TestSweep:
         assert len(tagged) == 1
         assert tagged[0]["gain"] == 5.3
 
-    def test_requires_exactly_one_axis(self, capsys, config_path):
-        code, _, err = run_cli(capsys, "sweep", "--config", str(config_path))
-        assert code == 1
-        code, _, err = run_cli(capsys, "sweep", "--config", str(config_path),
-                               "--gains", "2,3", "--powers", "10mW")
-        assert code == 1
-
     def test_powers_axis_with_units(self, capsys, config_path):
         code, out, _ = run_cli(capsys, "sweep", "--config", str(config_path),
                                "--powers", "20mW,40mW,61mW", "--format", "json")
@@ -229,21 +395,7 @@ class TestReconcile:
         assert "loss_only = infeasible" in out
 
 
-
 class TestMalformedInputs:
-    def test_non_numeric_gain_rejected(self, capsys, config_path):
-        code, _, err = run_cli(capsys, "sweep", "--config", str(config_path),
-                               "--gains", "2,abc")
-        assert code == 1
-        assert "'abc'" in err
-
-    def test_bad_power_names_the_flag(self, capsys, config_path):
-        code, _, err = run_cli(capsys, "sweep", "--config", str(config_path),
-                               "--powers", "20mW,xx")
-        assert code == 1
-        assert "error: --powers: value of 'power' is not a number: 'xx'" in err
-        assert "line 0" not in err
-
     # the config and the CLI read numbers with one grammar: 1_0 and 0x10 leave a
     # suffix on a dimensionless value, inf and nan are not numbers
     @pytest.mark.parametrize("spelling, accepted", [
@@ -262,275 +414,6 @@ class TestMalformedInputs:
                              "--gains", spelling, "--format", "json")
         assert code in (0, 1)
         assert config_accepts == (code == 0) == accepted
-
-    @pytest.mark.parametrize("pair", ["nan,7", "-2.75,inf", "-inf,7"])
-    def test_non_finite_level_rejected(self, capsys, config_path, pair):
-        code, _, err = run_cli(capsys, "reconcile", "--config", str(config_path),
-                               "--measured", pair)
-        assert code == 1
-        assert "is not a number" in err
-        assert pair.split(",")[0] in err or pair.split(",")[1] in err
-
-    def test_reconcile_needs_a_level_pair(self, capsys, config_path):
-        code, out, err = run_cli(capsys, "reconcile", "--config", str(config_path),
-                                 "--measured=-2.75")
-        assert code == 1
-        assert out == ""
-        assert "expected 'smin_db,smax_db', got '-2.75'" in err
-
-    def test_measured_csv_row_needs_three_fields(self, capsys, config_path, tmp_path):
-        measured = tmp_path / "measured.csv"
-        measured.write_text("power_mw,s_min_db,s_max_db\n47.85,-2.75\n")
-        code, out, err = run_cli(capsys, "sweep", "--config", str(config_path),
-                                 "--gains", "2,5.3", "--measured", str(measured))
-        assert code == 1
-        assert out == ""
-        assert "measured.csv:2: expected 'power_mw,s_min_db,s_max_db'" in err
-
-    def test_synth_needs_an_acquisition_block(self, capsys, config_path, tmp_path):
-        text = config_path.read_text()
-        cfg = tmp_path / "no_acquisition.cfg"
-        cfg.write_text(text[: text.index("[acquisition]")])
-        code, out, err = run_cli(capsys, "synth", "--config", str(cfg), "--seed", "1",
-                                 "--out", str(tmp_path / "trace.csv"))
-        assert code == 1
-        assert out == ""
-        assert "this command needs [acquisition]" in err
-        assert not (tmp_path / "trace.csv").exists()
-
-    def test_synth_with_a_negative_seed_is_an_error(self, capsys, config_path, tmp_path):
-        code, out, err = run_cli(capsys, "synth", "--config", str(config_path), "--seed", "-1",
-                                 "--out", str(tmp_path / "trace.csv"))
-        assert code == 1
-        assert out == ""
-        assert err == "error: seed must be a non-negative integer, got -1\n"
-        assert not (tmp_path / "trace.csv").exists()
-
-    def test_synth_with_an_overflowing_estimator_dof_is_an_error(self, capsys, config_path,
-                                                                 tmp_path):
-        cfg = tmp_path / "vbw.cfg"
-        cfg.write_text(config_path.read_text().replace("vbw = 30Hz", "vbw = 1e-320Hz"))
-        code, out, err = run_cli(capsys, "synth", "--config", str(cfg), "--seed", "1",
-                                 "--out", str(tmp_path / "trace.csv"))
-        assert code == 1
-        assert out == ""
-        assert "line 21: video_bandwidth 1e-320 Hz overflows" in err
-
-    def test_synth_with_an_overflowing_scan_phase_is_an_error(self, capsys, config_path, tmp_path):
-        cfg = tmp_path / "phase.cfg"
-        text = config_path.read_text()
-        assert "sweep = 0.2s" in text and "period = 0.2s" in text
-        cfg.write_text(text.replace("sweep = 0.2s", "sweep = 1e10s").replace("period = 0.2s",
-                                                                            "period = 1e-300s"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
-            code, out, err = run_cli(capsys, "synth", "--config", str(cfg), "--seed", "1",
-                                     "--out", str(tmp_path / "trace.csv"))
-        assert code == 1
-        assert out == ""
-        assert err == ("error: line 22: sweep_duration 10000000000.0 s at scan period 1e-300 s "
-                       "gives a scan phase 2*rate*sweep_duration that overflows\n")
-        assert not (tmp_path / "trace.csv").exists()
-
-    @pytest.mark.parametrize("command, extra", [
-        ("predict", []),
-        ("sweep", ["--powers", "20mW,61mW"]),
-        ("reconcile", ["--measured=-2.75,7.00"]),
-    ])
-    def test_a_negative_frequency_is_named_in_hz(self, capsys, config_path, command, extra):
-        code, out, err = run_cli(capsys, command, "--config", str(config_path), *extra,
-                                 "--frequency-hz", "-1")
-        assert code == 1
-        assert out == ""
-        assert err == "error: analysis frequency must be finite and > 0, got -1.0\n"
-
-    def test_predict_at_a_frequency_whose_angular_frequency_overflows_is_an_error(self, capsys,
-                                                                                 config_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "predict", "--config", str(config_path),
-                                     "--frequency-hz", "1e308")
-        assert code == 1
-        assert out == ""
-        assert err == "error: analysis frequency 1e+308 Hz overflows the angular frequency 2*pi*f\n"
-
-    def test_fit_of_a_header_with_an_overflowing_scan_rate_is_an_error(self, capsys, config_path,
-                                                                       tmp_path):
-        trace_path = tmp_path / "trace.csv"
-        run_cli(capsys, "synth", "--config", str(config_path), "--seed", "42", "--out", str(trace_path))
-        text = trace_path.read_text()
-        assert "scan_period_s=0.2\n" in text
-        trace_path.write_text(text.replace("scan_period_s=0.2\n", "scan_period_s=1e-320\n"))
-        code, out, err = run_cli(capsys, "fit", "--trace", str(trace_path), "--config", str(config_path))
-        assert code == 1
-        assert out == ""
-        assert "invalid trace contents: period 1e-320 s gives a scan rate" in err
-
-    def test_fit_of_a_header_that_repeats_a_key_is_an_error(self, capfd, config_path, tmp_path):
-        # capfd: nothing may reach file descriptor 1, not even from C code
-        trace_path = tmp_path / "trace.csv"
-        run_cli(capfd, "synth", "--config", str(config_path), "--seed", "42", "--out", str(trace_path))
-        line = "# scan_jitter_rad=0.12\n"
-        text = trace_path.read_text()
-        lineno = text.splitlines(keepends=True).index(line) + 2
-        trace_path.write_text(text.replace(line, line + line))
-        code, out, err = run_cli(capfd, "fit", "--trace", str(trace_path), "--config", str(config_path))
-        assert code == 1
-        assert out == ""
-        assert err == f"error: line {lineno}: duplicate header key 'scan_jitter_rad'\n"
-
-    @pytest.mark.parametrize("count", ["1e17", "2e18"])  # 8e17 and 1.6e19 bytes of times
-    def test_synth_with_an_unallocatable_sample_count_is_an_error(self, capsys, config_path,
-                                                                  tmp_path, count):
-        cfg = tmp_path / "huge.cfg"
-        cfg.write_text(config_path.read_text().replace("samples = 401", f"samples = {count}"))
-        code, out, err = run_cli(capsys, "synth", "--config", str(cfg), "--seed", "1",
-                                 "--out", str(tmp_path / "trace.csv"))
-        assert code == 1
-        assert out == ""
-        assert err.startswith(f"error: sample_count {int(float(count))} is more float64 times")
-        assert err.count("\n") == 1
-        assert not (tmp_path / "trace.csv").exists()
-
-    def test_fit_of_a_sweep_too_short_to_separate_the_regressors_is_an_error(self, capsys,
-                                                                             config_path, tmp_path):
-        cfg, trace_path = tmp_path / "short.cfg", tmp_path / "short.csv"
-        cfg.write_text(config_path.read_text().replace("sweep = 0.2s", "sweep = 1e-5s"))
-        code, _, _ = run_cli(capsys, "synth", "--config", str(cfg), "--seed", "1",
-                             "--out", str(trace_path))
-        assert code == 0
-        code, out, err = run_cli(capsys, "fit", "--trace", str(trace_path), "--config", str(cfg))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: the trace sweeps 0.000628 rad of 2*theta, too little")
-        assert err.count("\n") == 1
-
-    def test_reconcile_at_unit_gain_is_a_domain_error(self, capsys, config_path, tmp_path):
-        cfg = tmp_path / "unit_gain.cfg"
-        cfg.write_text(config_path.read_text().replace("gain = 5.3", "gain = 1.0"))
-        code, _, err = run_cli(capsys, "reconcile", "--config", str(cfg),
-                               "--measured", "-2.75,7.00")
-        assert code == 1
-        assert err.startswith("error:") and "x > 0" in err
-
-    def test_a_config_gain_at_threshold_names_its_line(self, capsys, config_path, tmp_path):
-        cfg = tmp_path / "huge_gain.cfg"
-        cfg.write_text(config_path.read_text().replace("gain = 5.3", "gain = 1e40"))
-        code, out, err = run_cli(capsys, "predict", "--config", str(cfg))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: line 16: parametric_gain 1e+40 is at threshold to double")
-
-    def test_a_swept_gain_at_threshold_is_named(self, capsys, config_path):
-        code, out, err = run_cli(capsys, "sweep", "--config", str(config_path),
-                                 "--gains", "2,1e40")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: parametric_gain 1e+40 is at threshold to double precision")
-
-    def test_two_measured_rows_on_one_sweep_row_are_an_error(self, capsys, config_path, tmp_path):
-        measured = tmp_path / "measured.csv"
-        measured.write_text("power_mw,s_min_db,s_max_db\n60,-2.75,7.00\n62,-2.8,7.1\n")
-        code, out, err = run_cli(capsys, "sweep", "--config", str(config_path),
-                                 "--powers", "61mW,200mW", "--measured", str(measured))
-        assert code == 1
-        assert out == ""
-        assert err == ("error: measured rows at 0.06 W and 0.062 W both attach to "
-                       "the sweep row at 0.061 W\n")
-
-    def test_a_negative_measured_power_is_an_error(self, capsys, config_path, tmp_path):
-        measured = tmp_path / "measured.csv"
-        measured.write_text("power_mw,s_min_db,s_max_db\n-5,-3.0,6.0\n")
-        code, out, err = run_cli(capsys, "sweep", "--config", str(config_path),
-                                 "--powers", "20mW,61mW", "--measured", str(measured))
-        assert code == 1
-        assert out == ""
-        assert err == "error: measured pump power must be finite and >= 0, got -0.005 W\n"
-
-    def test_a_measured_level_whose_variance_overflows_is_an_error(self, capsys, config_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
-            code, out, err = run_cli(capsys, "reconcile", "--config", str(config_path),
-                                     "--measured", "-2.75,4000", "--format", "json")
-        assert code == 1
-        assert out == ""
-        assert err == "error: observed level 4000.0 dB overflows as a linear variance\n"
-
-
-class TestNonFiniteInputs:
-    def test_measured_csv_nan_rejected(self, capsys, config_path, tmp_path):
-        measured = tmp_path / "measured.csv"
-        measured.write_text("power_mw,s_min_db,s_max_db\n47.85,nan,7.00\n")
-        code, out, err = run_cli(capsys, "sweep", "--config", str(config_path),
-                                 "--gains", "2,5.3", "--measured", str(measured))
-        assert code == 1
-        assert out == ""
-        assert "measured.csv:2:" in err and "value of 's_min_db' is not a number: 'nan'" in err
-
-    def test_non_finite_gain_rejected(self, capsys, config_path):
-        code, _, err = run_cli(capsys, "sweep", "--config", str(config_path), "--gains", "2,inf")
-        assert code == 1
-        assert "--gains: value of 'gain' is not a number: 'inf'" in err
-
-    def test_overflowing_power_rejected(self, capsys, config_path):
-        code, out, err = run_cli(capsys, "sweep", "--config", str(config_path),
-                                 "--powers", "1e400mW", "--format", "json")
-        assert code == 1
-        assert out == ""
-        assert "'power' is not finite" in err
-
-    def test_overflowing_config_value_is_a_parse_error(self, capsys, config_path, tmp_path):
-        cfg = tmp_path / "huge.cfg"
-        cfg.write_text(config_path.read_text().replace("l = 600mm", "l = 1e400mm"))
-        code, _, err = run_cli(capsys, "predict", "--config", str(cfg))
-        assert code == 1
-        assert "line 5: value of 'l' is not finite" in err
-
-    def test_fit_with_washed_out_jitter_is_an_error(self, capsys, config_path, tmp_path):
-        trace_path = tmp_path / "trace.csv"
-        run_cli(capsys, "synth", "--config", str(config_path), "--seed", "4", "--out", str(trace_path))
-        text = trace_path.read_text()
-        trace_path.write_text(text.replace("scan_jitter_rad=0.12", "scan_jitter_rad=30"))
-        code, _, err = run_cli(capsys, "fit", "--trace", str(trace_path), "--config", str(config_path))
-        assert code == 1
-        assert "washes out" in err
-
-    def test_fit_of_an_overflowing_sample_is_an_error(self, capsys, config_path, tmp_path):
-        # 1e300 dB parses (it is finite) but overflows as a linear power
-        trace_path = tmp_path / "trace.csv"
-        run_cli(capsys, "synth", "--config", str(config_path), "--seed", "4", "--out", str(trace_path))
-        header, data = trace_path.read_text().split("time_s,power_db\n")
-        rows = data.splitlines()
-        rows[6] = rows[6].split(",")[0] + ",1e300"
-        trace_path.write_text(header + "time_s,power_db\n" + "\n".join(rows) + "\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
-            code, out, err = run_cli(capsys, "fit", "--trace", str(trace_path),
-                                     "--config", str(config_path))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and "sample of 1e+300 dB overflows" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("frequency", ["inf", "1e400", "nan"])
-    @pytest.mark.parametrize("command, extra", [
-        ("predict", []),
-        ("sweep", ["--powers", "20mW,61mW"]),
-        ("reconcile", ["--measured=-2.75,7.00"]),
-    ])
-    def test_non_finite_frequency_rejected(self, capsys, config_path, tmp_path, command, extra,
-                                           frequency):
-        # without [acquisition] the analysis frequency comes from --frequency-hz
-        text = config_path.read_text()
-        cfg = tmp_path / "no_acquisition.cfg"
-        cfg.write_text(text[:text.index("[acquisition]")])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
-            code, out, err = run_cli(capsys, command, "--config", str(cfg), *extra,
-                                     "--frequency-hz", frequency)
-        assert code == 1
-        assert out == ""
-        assert "--frequency-hz: value of 'frequency_hz' is not" in err and repr(frequency) in err
 
 
 SWEEP_POWERS_W = (0.020, 0.061, 0.200)  # the last above threshold
@@ -613,6 +496,8 @@ class TestFullPrecision:
         assert out == json.dumps(expected, indent=2) + "\n"
 
 
+
+
 class TestEntryPoint:
     def test_console_script(self, config_path):
         proc = subprocess.run([sys.executable, "-m", "sqzlab.cli", "predict",
@@ -627,61 +512,16 @@ class TestEntryPoint:
         assert proc.returncode == 1
 
 
-class TestFormatChoices:
-    @pytest.mark.parametrize("command, extra", [
-        ("predict", []),
-        ("reconcile", ["--measured=-2.75,7.00"]),
-        ("synth", ["--seed", "4", "--out", "unused.csv"]),
-        ("fit", ["--trace", "unused.csv"]),  # refused before the trace is read
-    ])
-    def test_csv_is_a_usage_error_outside_sweep(self, capsys, config_path, command, extra):
-        # synth writes a trace file, not a report, so it has no --format at all
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(config_path), *extra, "--format", "csv"])
-        captured = capsys.readouterr()
-        assert exc.value.code == 1
-        expected = ("unrecognized arguments: --format csv" if command == "synth"
-                    else "invalid choice: 'csv'")
-        assert expected in captured.err
-        assert captured.out == ""
-
-
-    @pytest.mark.parametrize("command, extra", [
-        ("synth", ["--seed", "4", "--out", "unused.csv"]),
-        ("fit", ["--trace", "unused.csv"]),
-    ])
-    def test_frequency_is_a_usage_error_where_no_frequency_is_read(self, capsys, config_path,
-                                                                     command, extra):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(config_path), *extra, "--frequency-hz", "2e6"])
-        captured = capsys.readouterr()
-        assert exc.value.code == 1
-        assert "unrecognized arguments: --frequency-hz 2e6" in captured.err
-        assert captured.out == ""
-
-
 class TestFitContext:
     """sqzlab fit reads the clearance from the trace header; the config fills in a
-    header that records none and must agree with one that does."""
+    header that records none (a disagreeing one is a refusal row)."""
 
-    @pytest.fixture
-    def paths(self, capsys, config_path, tmp_path):
+    def test_a_header_without_clearance_fits_at_the_config_clearance(self, capsys, config_path,
+                                                                      tmp_path):
         cfg = tmp_path / "clear20.cfg"
         cfg.write_text(config_path.read_text().replace("clearance = 14.0dB", "clearance = 20.0dB"))
         trace_path = tmp_path / "trace.csv"  # records the bundled 14 dB
         run_cli(capsys, "synth", "--config", str(config_path), "--seed", "42", "--out", str(trace_path))
-        return cfg, trace_path
-
-    def test_a_disagreeing_config_is_an_error(self, capsys, paths):
-        cfg, trace_path = paths
-        code, out, err = run_cli(capsys, "fit", "--trace", str(trace_path), "--config", str(cfg))
-        assert code == 1
-        assert out == ""
-        assert err == ("error: the trace records clearance_db = 14.0 dB but the config "
-                       "says clearance = 20.0 dB\n")
-
-    def test_a_header_without_clearance_fits_at_the_config_clearance(self, capsys, paths):
-        cfg, trace_path = paths
         lines = trace_path.read_text().splitlines(keepends=True)
         stripped = trace_path.with_name("stripped.csv")
         stripped.write_text("".join(line for line in lines
@@ -701,10 +541,6 @@ class TestFitContext:
         assert reports[0]["s_min_db"] == default.levels.s_min_db
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-standard JSON constant {name}")
-
-
 class TestUndeterminedLevel:
     """A fit whose s_min the trace does not determine (1 rad of jitter, seed 3)."""
 
@@ -721,7 +557,7 @@ class TestUndeterminedLevel:
         code, out, _ = run_cli(capsys, "fit", "--trace", str(trace_path), "--config", str(cfg),
                                "--format", "json")
         assert code == 0
-        report = json.loads(out, parse_constant=_reject_constant)
+        report = strict_json(out)
         assert report["s_min_sigma_db"] is None
         assert report["s_max_sigma_db"] > 0.0
 

@@ -174,6 +174,8 @@ class TestValueDomains:
         ({"theta0": math.nan}, r"^theta0 must be finite, got nan$"),
         ({"theta0": -math.inf}, r"^theta0 must be finite, got -inf$"),
         ({"jitter_sigma": math.inf}, r"^jitter_sigma must be finite and >= 0, got inf$"),
+        ({"jitter_sigma": 30.0}, r"^jitter_sigma = 30.0 rad washes out the phase modulation "),
+        ({"jitter_sigma": 10 ** 400}, r"^jitter_sigma = 10{400} rad washes out the phase modulation "),
     ])
     def test_phase_scan(self, fields, message):
         with pytest.raises(ParameterDomainError, match=message):

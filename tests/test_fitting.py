@@ -317,9 +317,8 @@ class TestStartModelDomain:
 
     def test_jitter_that_washes_out_the_modulation_rejected(self):
         # exp(-2*sigma^2) underflows to 0 above sigma ~ 19.3 rad
-        trace = _synth(seed=344, jitter=30.0)
         with pytest.raises(ParameterDomainError, match="washes out"):
-            fit_trace(trace)
+            fit_trace(_synth(seed=344, jitter=30.0))
 
     # PhaseScan's domain, checked by the start itself: a NaN jitter would give NaN levels
     @pytest.mark.parametrize("jitter", [math.nan, -0.12, math.inf])

@@ -407,3 +407,12 @@ class TestCavityValidation:
         # a zero decay rate made detuning_parameter divide by zero
         with pytest.raises(ParameterDomainError, match=message):
             CavityParams(*fields)
+
+    @pytest.mark.parametrize("fields, message", [
+        ((1e-303, 0.1, 0.01, 0.02), r"^cavity decay rate c\*\(T \+ L\)/l overflows$"),
+        ((0.6, 0.1, 0.01, 5e-324), r"^cavity threshold \(T \+ L\)\^2/\(4\*E_NL\) overflows$"),
+    ], ids=["decay rate", "threshold"])
+    def test_derived_rate_or_threshold_overflowing(self, fields, message):
+        # JSON has no Infinity for an infinite decay rate or threshold
+        with pytest.raises(ParameterDomainError, match=message):
+            CavityParams(*fields)
